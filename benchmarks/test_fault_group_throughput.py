@@ -1,38 +1,21 @@
-"""Fault-storm microbenchmark: grouped vs. ungrouped fault admission.
+"""Fault-storm microbenchmark: faults/second through grouped admission.
 
 Not a paper figure — the harness micro-benchmark guarding the coalesced
-fault slow path (PR 7).  ``test_fault_throughput`` pins a fault-heavy
-co-run; this one goes further and provokes a genuine *fault storm*:
-local memory at 10% of the working set, so per-thread batches are
-dominated by dense runs of consecutive non-resident accesses — exactly
-the shape ``handle_fault_group`` coalesces into one admission call and
-one doorbell-batched NIC submission.
+fault slow path.  ``test_fault_throughput`` pins a fault-heavy co-run;
+this one goes further and provokes a genuine *fault storm*: local memory
+at 10% of the working set, so per-thread batches are dominated by dense
+runs of consecutive non-resident accesses — exactly the shape
+``handle_fault_group`` admits in one call, resolving each member through
+``handle_fault``.
 
-Measured twice on the same seeded co-run:
+The storm runs three times for the rate.  A traced run must agree with
+the untraced digest, show the storm actually formed groups
+(``fault_groups`` > 0 in the trace summary), and pass every
+``repro.obs.check`` lint including the group-pairing rule.
 
-* **grouped** — ``grouped_faults=True`` (the default): the driver hands
-  each run of misses to ``handle_fault_group``, which resolves the whole
-  group at one simulated instant and submits its reads through
-  ``RNIC.submit_many``'s single doorbell;
-* **ungrouped** — ``grouped_faults=False``: the permanent scalar oracle,
-  one ``handle_fault`` generator per miss.
-
-The A/B is meaningful only because the two paths are *bit-identical*:
-the test asserts ``result_digest`` equality (every per-app counter,
-completion time, and the machine clock) before reporting any number.  A
-traced grouped run must also agree with the untraced digest, show the
-storm actually formed groups (``fault_groups`` > 0 in the trace
-summary), and pass every ``repro.obs.check`` lint including the PR 7
-group-pairing rule.
-
-``faults_per_second`` (grouped path) feeds ``check_regression.py``
-against ``perf_baseline.json``; ``grouped_speedup`` is reported as
-``extra_info`` for trend-watching but only sanity-floored here — on
-shared CI runners the wall-clock ratio of two ~0.5 s runs is too noisy
-for a tight machine-independent bound.
+``faults_per_second`` feeds ``check_regression.py`` against
+``perf_baseline.json``.
 """
-
-import time
 
 from _common import print_header
 from repro.harness import ExperimentConfig, result_digest, run_experiment
@@ -65,32 +48,18 @@ def _run(config):
 
 
 def test_fault_group_storm(benchmark):
-    grouped_cfg = storm_config()
-    ungrouped_cfg = storm_config(
-        system_config_overrides={"grouped_faults": False}
-    )
+    config = storm_config()
+    digests = set()
 
-    last = {}
-
-    def run_grouped():
-        faults, digest, _ = _run(grouped_cfg)
-        last["digest"] = digest
+    def run_storm():
+        faults, digest, _ = _run(config)
+        digests.add(digest)
         return faults
 
-    faults = benchmark.pedantic(run_grouped, rounds=3, iterations=1)
-    grouped_seconds = benchmark.stats.stats.min
-    digest = last["digest"]
-
-    # The scalar oracle: same simulation, one handle_fault per miss.
-    ungrouped_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        ungrouped_faults, ungrouped_digest, _ = _run(ungrouped_cfg)
-        ungrouped_seconds = min(ungrouped_seconds, time.perf_counter() - start)
-        assert ungrouped_digest == digest, (
-            "grouped and ungrouped admission diverged on simulated results"
-        )
-        assert ungrouped_faults == faults
+    faults = benchmark.pedantic(run_storm, rounds=3, iterations=1)
+    seconds = benchmark.stats.stats.min
+    assert len(digests) == 1, "repeated storm runs diverged"
+    (digest,) = digests
 
     # Traced run: digest-inert, proves the storm really coalesced, and
     # must be clean under every causality lint (group pairing included).
@@ -105,34 +74,17 @@ def test_fault_group_storm(benchmark):
     assert groups > 0, "storm produced no fault groups"
     mean_group = traced_faults / groups
 
-    rate = faults / grouped_seconds
-    speedup = ungrouped_seconds / grouped_seconds
+    rate = faults / seconds
     benchmark.extra_info["faults"] = faults
     benchmark.extra_info["faults_per_second"] = rate
-    benchmark.extra_info["ungrouped_faults_per_second"] = faults / ungrouped_seconds
-    benchmark.extra_info["grouped_speedup"] = speedup
     benchmark.extra_info["fault_groups"] = groups
     benchmark.extra_info["mean_group_size"] = mean_group
 
-    print_header("fault storm: grouped vs ungrouped admission")
-    print(
-        f"grouped:   {faults} faults in {grouped_seconds:.3f}s -> "
-        f"{rate / 1e3:.1f}k faults/s"
-    )
-    print(
-        f"ungrouped: {faults} faults in {ungrouped_seconds:.3f}s -> "
-        f"{faults / ungrouped_seconds / 1e3:.1f}k faults/s "
-        f"(grouped speedup {speedup:.2f}x)"
-    )
+    print_header("fault storm: grouped admission")
+    print(f"{faults} faults in {seconds:.3f}s -> {rate / 1e3:.1f}k faults/s")
     print(f"{groups} groups, mean size {mean_group:.1f} faults/group")
 
     assert faults > 0
     # Dense runs actually formed: a storm where most "groups" are single
     # faults would not exercise the coalesced path at all.
     assert mean_group > 1.5, f"storm too sparse: {mean_group:.2f} faults/group"
-    # Sanity floor only — wall-clock ratios of sub-second runs swing
-    # ±25% on shared runners; the real guard is faults_per_second vs the
-    # checked-in baseline.
-    assert speedup > 0.75, (
-        f"grouped admission slower than the scalar oracle: {speedup:.2f}x"
-    )

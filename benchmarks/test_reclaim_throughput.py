@@ -1,42 +1,30 @@
-"""Swap-out storm microbenchmarks: grouped vs. scalar reclaim (PR 8).
+"""Swap-out storm microbenchmarks: pages evicted per second.
 
-Not paper figures — the harness micro-benchmarks guarding the grouped
-reclaim egress pipeline, the write-side twin of
-``test_fault_group_throughput``.  Two storms, two honest answers:
+Not paper figures — the harness micro-benchmarks guarding the reclaim
+egress pipeline (``_evict_many``: batched victim selection, one
+per-victim eviction body, doorbell-deferred writebacks), the write-side
+counterpart of ``test_fault_group_throughput``.  Two storms:
 
 * ``test_reclaim_storm`` — the end-to-end co-run under steady memory
-  pressure.  Here reclaim is ~12% of the wall clock (every eviction is
-  preceded by a costlier demand fault) and kswapd's digest-pinned
-  batches average ~3 pages, so grouped and scalar reclaim measure the
-  same within noise: **~1.0x** on the development machine (interleaved
-  best-of-3; 0.96–1.0x across runs, and 0.98x median-of-ratios against
-  the pre-PR tree).  What this storm guards is not a speedup but the
-  contract: bit-identical digests with the write doorbells batched.
-* ``test_reclaim_drain`` — the storm the batching is actually for: a
-  partition shrink leaves kswapd a deep backlog of entry-kept clean
-  pages (the Canvas adaptive-partitioning story).  The scalar oracle
-  pays one whole-remainder revalidation gather per pop; grouped
-  selection pays it once per batch.  Measured **~4.2x** pages/sec on
-  the development machine (interleaved rounds, 4.0–4.5x, same ratio
-  against the pre-PR tree), end state and simulated clock identical.
+  pressure.  Reclaim is a minor share of the wall clock here (every
+  eviction is preceded by a costlier demand fault) and kswapd's batches
+  average ~3 pages.
+* ``test_reclaim_drain`` — a partition shrink leaves kswapd a deep
+  backlog of entry-kept clean pages (the Canvas adaptive-partitioning
+  story); each kswapd batch drains its victims in one revalidated
+  ``select_victims`` pass.
 
-Both A/Bs are meaningful only because the two paths are *bit-identical*:
-the storm asserts ``result_digest`` equality and the drain asserts
-field-for-field stats, pool, and clock equality before reporting any
-number.  A traced grouped run must also agree with the untraced
-numbers, show grouped rounds actually formed (``reclaim_groups`` > 0),
-and pass every ``repro.obs.check`` lint including the PR 8
-reclaim-group-pairing rule.
+Every round of a storm must land on the same digest (the drain: the
+same stats, pool, and clock).  A traced run must also agree with the
+untraced numbers, show reclaim rounds actually formed
+(``reclaim_groups`` > 0), and pass every ``repro.obs.check`` lint
+including the reclaim-group-pairing rule.
 
-``pages_evicted_per_second`` (both storms) and the drain's
-``grouped_drain_speedup`` feed ``check_regression.py`` against
-``perf_baseline.json``.  On shared CI runners wall-clock ratios of
-sub-second runs swing ±25%, so the in-test asserts are loose floors —
-the real guards are the checked-in baseline entries.
+``pages_evicted_per_second`` (both storms) feeds ``check_regression.py``
+against ``perf_baseline.json``.
 """
 
 import dataclasses
-import time
 
 from _common import print_header
 from repro.harness import ExperimentConfig, result_digest, run_experiment
@@ -79,30 +67,18 @@ def _run(config):
 
 
 def test_reclaim_storm(benchmark):
-    grouped_cfg = storm_config()
-    scalar_cfg = storm_config(system_config_overrides={"grouped_reclaim": False})
+    config = storm_config()
+    digests = set()
 
-    last = {}
-
-    def run_grouped():
-        evicted, digest, _ = _run(grouped_cfg)
-        last["digest"] = digest
+    def run_storm():
+        evicted, digest, _ = _run(config)
+        digests.add(digest)
         return evicted
 
-    evicted = benchmark.pedantic(run_grouped, rounds=3, iterations=1)
-    grouped_seconds = benchmark.stats.stats.min
-    digest = last["digest"]
-
-    # The scalar oracle: same simulation, one _evict_one per page.
-    scalar_seconds = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        scalar_evicted, scalar_digest, _ = _run(scalar_cfg)
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-        assert scalar_digest == digest, (
-            "grouped and scalar reclaim diverged on simulated results"
-        )
-        assert scalar_evicted == evicted
+    evicted = benchmark.pedantic(run_storm, rounds=3, iterations=1)
+    seconds = benchmark.stats.stats.min
+    assert len(digests) == 1, "repeated storm runs diverged"
+    (digest,) = digests
 
     # Traced run: digest-inert, proves kswapd really grouped its
     # batches, and must be clean under every causality lint (the
@@ -116,39 +92,22 @@ def test_reclaim_storm(benchmark):
     groups = sum(s["reclaim_groups"] for s in summaries.values())
     assert groups > 0, "storm drove no grouped reclaim rounds"
 
-    rate = evicted / grouped_seconds
-    speedup = scalar_seconds / grouped_seconds
+    rate = evicted / seconds
     benchmark.extra_info["pages_evicted"] = evicted
     benchmark.extra_info["pages_evicted_per_second"] = rate
-    benchmark.extra_info["grouped_reclaim_speedup"] = speedup
     benchmark.extra_info["reclaim_groups"] = groups
 
-    print_header("swap-out storm: grouped vs scalar reclaim")
-    print(
-        f"grouped: {evicted} evictions in {grouped_seconds:.3f}s -> "
-        f"{rate / 1e3:.1f}k pages/s"
-    )
-    print(
-        f"scalar:  {evicted} evictions in {scalar_seconds:.3f}s -> "
-        f"{evicted / scalar_seconds / 1e3:.1f}k pages/s "
-        f"(grouped speedup {speedup:.2f}x)"
-    )
+    print_header("swap-out storm: reclaim")
+    print(f"{evicted} evictions in {seconds:.3f}s -> {rate / 1e3:.1f}k pages/s")
     print(f"{groups} reclaim groups traced")
 
     assert evicted > 0
-    # The co-run is ingest-dominated and kswapd's batches are tiny, so
-    # grouped reclaim is wall-clock *neutral* here (~1.0x measured) —
-    # this floor only catches the grouped path becoming an outright
-    # regression.  The drain storm below is where the batching pays.
-    assert speedup > 0.75, (
-        f"grouped reclaim slower than the scalar oracle: {speedup:.2f}x"
-    )
 
 
 # -- the backlog drain: a partition shrink's worth of clean pages --------
 
 
-def _build_drain(grouped, tracer=False):
+def _build_drain(tracer=False):
     """A full frame pool of entry-kept clean pages over a fat LRU.
 
     The state a Canvas partition shrink leaves behind: every resident
@@ -163,7 +122,7 @@ def _build_drain(grouped, tracer=False):
         machine.nic,
         partition_pages=DRAIN_PAGES + 512,
         telemetry=machine.telemetry,
-        config=SwapSystemConfig(grouped_reclaim=grouped),
+        config=SwapSystemConfig(),
     )
     if trace_buffer is not None:
         system.attach_tracer(trace_buffer)
@@ -199,71 +158,46 @@ def _drain(machine, app):
 
 
 def test_reclaim_drain(benchmark):
-    grouped_end = {}
+    ends = []
 
     def setup():
-        machine, _, app, _ = _build_drain(grouped=True)
-        grouped_end["run"] = (machine, app)
+        machine, _, app, _ = _build_drain()
+        ends.append((machine, app))
         return (machine, app), {}
 
     def run(machine, app):
         return _drain(machine, app)
 
     drained = benchmark.pedantic(run, setup=setup, rounds=3)
-    grouped_seconds = benchmark.stats.stats.min
-    g_machine, g_app = grouped_end["run"]
-    assert drained == DRAIN_PAGES - g_app.pool.low_watermark
-    assert g_app.stats.clean_drops == drained
-    assert g_app.stats.swapouts == 0
-    assert g_app.pool.used == g_app.pool.low_watermark
+    seconds = benchmark.stats.stats.min
+    first_machine, first_app = ends[0]
+    assert drained == DRAIN_PAGES - first_app.pool.low_watermark
+    assert first_app.stats.clean_drops == drained
+    assert first_app.stats.swapouts == 0
+    assert first_app.pool.used == first_app.pool.low_watermark
+    # Every round lands on the identical end state and clock.
+    for machine, app in ends[1:]:
+        assert dataclasses.asdict(app.stats) == dataclasses.asdict(first_app.stats)
+        assert machine.engine.now == first_machine.engine.now
+        assert app.pool.used == first_app.pool.used
 
-    # The scalar oracle drains the same backlog one select_victim at a
-    # time; every round must land on the identical end state and clock.
-    scalar_seconds = float("inf")
-    for _ in range(3):
-        machine, _, app, _ = _build_drain(grouped=False)
-        start = time.perf_counter()
-        scalar_drained = _drain(machine, app)
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - start)
-        assert scalar_drained == drained
-        assert dataclasses.asdict(app.stats) == dataclasses.asdict(g_app.stats)
-        assert machine.engine.now == g_machine.engine.now
-        assert app.pool.used == g_app.pool.used
-
-    # Traced grouped drain: same end state, grouped rounds visible,
-    # every causality lint clean.
-    machine, _, app, trace_buffer = _build_drain(grouped=True, tracer=True)
+    # Traced drain: same end state, reclaim rounds visible, every
+    # causality lint clean.
+    machine, _, app, trace_buffer = _build_drain(tracer=True)
     traced_drained = _drain(machine, app)
     assert traced_drained == drained
-    assert dataclasses.asdict(app.stats) == dataclasses.asdict(g_app.stats)
-    assert machine.engine.now == g_machine.engine.now
+    assert dataclasses.asdict(app.stats) == dataclasses.asdict(first_app.stats)
+    assert machine.engine.now == first_machine.engine.now
     records = trace_buffer.records()
     violations = check_trace(records, truncated=trace_buffer.truncated)
     assert not violations, f"trace lints failed: {violations[:5]}"
     groups = sum(s["reclaim_groups"] for s in summarize_trace(records).values())
     assert groups > 0, "drain drove no grouped reclaim rounds"
 
-    rate = drained / grouped_seconds
-    speedup = scalar_seconds / grouped_seconds
+    rate = drained / seconds
     benchmark.extra_info["pages_evicted"] = drained
     benchmark.extra_info["pages_evicted_per_second"] = rate
-    benchmark.extra_info["grouped_drain_speedup"] = speedup
     benchmark.extra_info["reclaim_groups"] = groups
 
-    print_header("backlog drain: grouped vs scalar reclaim")
-    print(
-        f"grouped: {drained} clean drops in {grouped_seconds:.3f}s -> "
-        f"{rate / 1e3:.1f}k pages/s"
-    )
-    print(
-        f"scalar:  {drained} clean drops in {scalar_seconds:.3f}s -> "
-        f"{drained / scalar_seconds / 1e3:.1f}k pages/s "
-        f"(grouped speedup {speedup:.2f}x)"
-    )
-
-    # Measured ~4.2x on the development machine (the scalar oracle
-    # re-gathers the whole queue remainder per pop; grouped selection
-    # gathers once per batch).  1.2x leaves room for runner noise.
-    assert speedup > 1.2, (
-        f"grouped drain lost its edge over the scalar oracle: {speedup:.2f}x"
-    )
+    print_header("backlog drain: reclaim")
+    print(f"{drained} clean drops in {seconds:.3f}s -> {rate / 1e3:.1f}k pages/s")

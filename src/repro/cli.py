@@ -40,6 +40,7 @@ from repro.faults import RACK_SCENARIOS, SCENARIOS
 from repro.harness.cache import CACHE_DIR_ENV, CACHE_STATS, default_disk_cache
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.parallel import default_worker_count, run_experiments_parallel
+from repro.harness.results import result_digest
 from repro.metrics.report import (
     FAULT_STALL_HEADERS,
     fault_stall_rows,
@@ -358,6 +359,7 @@ def _cmd_profile(args) -> int:
     ]
     print()
     print(format_table(["app", "time (ms)", "faults"], rows))
+    print(f"digest: {result_digest(result)}")
     return 0
 
 

@@ -15,13 +15,15 @@ Two drivers share the same semantics:
 * :func:`app_thread_batched` — consumes
   :class:`~repro.workloads.batch.AccessBatch` chunks through
   ``BaseSwapSystem.consume_batch``, which classifies and retires whole
-  runs of resident accesses per call.  Yield sequences (and therefore
-  all simulated timestamps and statistics) are bit-identical between
-  the two.
+  runs of resident accesses per call, and admits each run of misses
+  through ``BaseSwapSystem.handle_fault_group``.  Yield sequences (and
+  therefore all simulated timestamps and statistics) are bit-identical
+  between the two.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Iterable, Iterator, Tuple
 
 from repro.kernel.cgroup import AppContext
@@ -93,34 +95,21 @@ def app_thread_batched(
     """Batched twin of :func:`app_thread`.
 
     ``consume_batch`` retires runs of resident accesses in one call; the
-    driver only surfaces at flush boundaries, faults, and batch ends —
-    performing exactly the yields the scalar driver would.
+    driver only surfaces at flush boundaries, fault groups, and batch
+    ends — performing exactly the yields the scalar driver would.  Every
+    fault is admitted through ``handle_fault_group``, which resolves the
+    whole run of consecutive non-resident accesses and returns the first
+    index it did not consume.  A profiler, when attached, times the
+    consume core and the fault groups without changing either.
     """
     pending_cpu = 0.0
-    pages = app.space.pages
-    handle_fault = system.handle_fault
+    consume = system.consume_batch
     fault_group = system.handle_fault_group
     execute = app.cores.execute
-    # Grouped admission rides the same gate as the vectorized consume
-    # core (flat LRU state, no foreign pages); profiled runs keep the
-    # scalar-member path so fault-path attribution stays comparable.
-    grouped = (
-        profiler is None
-        and system.config.grouped_faults
-        and app.lru.flat
-        and not app.space.has_foreign_pages
-    )
-    if profiler is None:
-        consume = system.consume_batch
-    else:
+    if profiler is not None:
         batches = profiler.timed_iter("stream_gen", iter(batches))
-        handle_fault = profiler.timed_generator_fn("fault_path", handle_fault)
-
-        def consume(app, batch, i, pending, flush):
-            return system.consume_batch_profiled(
-                app, batch, i, pending, flush, profiler
-            )
-
+        consume = partial(consume, profiler=profiler)
+        fault_group = profiler.timed_generator_fn("fault_path", fault_group)
     for batch in batches:
         n = len(batch)
         i = 0
@@ -130,24 +119,8 @@ def app_thread_batched(
                 yield from execute(pending_cpu)
                 pending_cpu = 0.0
             elif outcome == BATCH_FAULT:
-                if grouped:
-                    # Coalesced admission: the whole run of consecutive
-                    # non-resident accesses resolves inside one call
-                    # (bit-identical member by member to the scalar
-                    # branch below); the returned index is the first
-                    # access the group did not consume.
-                    i = yield from fault_group(app, thread_id, batch, i, pending_cpu)
-                    pending_cpu = 0.0
-                    continue
-                vpn = batch.vpn_list[i]
-                write = batch.write_list[i]
-                if pending_cpu > 0.0:
-                    yield from execute(pending_cpu)
-                    pending_cpu = 0.0
-                yield from handle_fault(app, thread_id, vpn, write)
-                if write:
-                    pages[vpn].dirty = True
-                i += 1
+                i = yield from fault_group(app, thread_id, batch, i, pending_cpu)
+                pending_cpu = 0.0
     if pending_cpu > 0.0:
         yield from execute(pending_cpu)
 

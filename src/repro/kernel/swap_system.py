@@ -115,34 +115,18 @@ class SwapSystemConfig:
     #: fault is surfaced as a hard error — the fabric is persistently
     #: failing and graceful degradation is no longer meaningful.
     max_kernel_retries: int = 16
-    #: Coalesced fault admission: when a batch truncates at a miss, the
-    #: whole run of consecutive non-resident accesses for that thread is
-    #: admitted as one *fault group* (``handle_fault_group``) instead of
-    #: bouncing through the driver per fault.  Pure host-cost
-    #: optimization — yield sequences, timestamps, and digests are
-    #: bit-identical with it off (the ungrouped oracle).
-    grouped_faults: bool = True
-    #: Grouped reclaim: kswapd hands each round's batch to one
-    #: ``_evict_many`` call (one revalidated victim-selection pass per
-    #: sub-batch, one generator for the whole batch, doorbell-deferred
-    #: writeback egress) instead of one ``_evict_one`` sub-generator per
-    #: page.  Applies to flat-state (generation-LRU) apps; the
-    #: write-side twin of ``grouped_faults`` and, like it, a pure
-    #: host-cost optimization — digest-identical to the serial oracle
-    #: kept behind ``False``.
-    grouped_reclaim: bool = True
 
 
 def _needs_writeback(page: Page) -> bool:
-    """Batch-cut predicate for grouped reclaim victim selection.
+    """Batch-cut predicate for reclaim victim selection.
 
     A clean victim with a kept swap entry is dropped instantaneously (no
     yields), so any run of them plus the *first* writeback-needing
-    victim — dirty, or never swapped out — can be selected up front
-    without changing what the serial loop would have picked.  That first
-    writeback member yields in entry allocation, after which the LRU may
-    have been mutated by concurrent faults, so victims beyond it must be
-    selected after the yield: ``select_victims`` cuts the batch here.
+    victim — dirty, or never swapped out — can be selected up front: no
+    LRU mutation can land between those pops.  That first writeback
+    member yields in entry allocation, after which the LRU may have been
+    mutated by concurrent faults, so victims beyond it must be selected
+    after the yield: ``select_victims`` cuts the batch here.
     """
     return page.dirty or page.swap_entry is None
 
@@ -261,13 +245,13 @@ class BaseSwapSystem:
     ) -> None:
         """Doorbell hook: submit a batch of writes queued at one instant.
 
-        The egress twin of :meth:`_submit_read_many`, used by grouped
-        reclaim to flush each round's deferred writebacks with one NIC
-        kick.  The same atomic-section contract applies: all requests
-        must have been acquired with no intervening yields, and the
-        flush must happen before the caller's next yield so the kick
-        keeps its FIFO position in the engine's immediate lane.  Fault
-        verdicts stay per-request inside the NIC/scheduler, so grouped
+        The egress counterpart of :meth:`_submit_read_many`, used by
+        background reclaim to flush each round's deferred writebacks
+        with one NIC kick.  The same atomic-section contract applies:
+        all requests must have been acquired with no intervening yields,
+        and the flush must happen before the caller's next yield so the
+        kick keeps its FIFO position in the engine's immediate lane.  Fault
+        verdicts stay per-request inside the NIC/scheduler, so batched
         submission cannot blur writeback-error handling.
         """
         for request in requests:
@@ -556,6 +540,7 @@ class BaseSwapSystem:
         start: int,
         pending_cpu: float,
         flush_us: float,
+        profiler=None,
     ):
         """Consume a run of resident accesses from ``batch[start:]``.
 
@@ -580,28 +565,18 @@ class BaseSwapSystem:
         arrays cover every mapped page take the vectorized core —
         classification, CPU accumulation, and run side effects as a
         handful of numpy ops; everything else takes the per-page scan.
-        """
-        if app.lru.flat and not app.space.has_foreign_pages:
-            return self._consume_batch_flat(app, batch, start, pending_cpu, flush_us, None)
-        return self._consume_batch_scan(app, batch, start, pending_cpu, flush_us, None)
 
-    def consume_batch_profiled(
-        self,
-        app: AppContext,
-        batch,
-        start: int,
-        pending_cpu: float,
-        flush_us: float,
-        profiler,
-    ):
-        """Profiling twin of :meth:`consume_batch`: identical returns and
-        side effects (same consume cores), but classification/clock
-        advance and LRU/page maintenance are timed separately so the
-        profiler can attribute them individually.
+        With a ``profiler`` attached, classification/clock advance and
+        LRU/page maintenance are timed into its ``fast_path`` and ``lru``
+        sections; returns and side effects are unchanged.
         """
         if app.lru.flat and not app.space.has_foreign_pages:
-            return self._consume_batch_flat(app, batch, start, pending_cpu, flush_us, profiler)
-        return self._consume_batch_scan(app, batch, start, pending_cpu, flush_us, profiler)
+            return self._consume_batch_flat(
+                app, batch, start, pending_cpu, flush_us, profiler
+            )
+        return self._consume_batch_scan(
+            app, batch, start, pending_cpu, flush_us, profiler
+        )
 
     def _consume_batch_flat(
         self,
@@ -838,12 +813,9 @@ class BaseSwapSystem:
     ) -> Generator:
         """The §2 fault path.  Yields until the page is mapped.
 
-        This is the scalar oracle: :meth:`handle_fault_group` inlines an
-        exact copy of the resolution loop below (every yield of a fault
-        resumes through one less generator frame that way, and faults
-        dominate the resumes of a pressured co-run).  Any change to the
-        loop must be mirrored there; the grouped-vs-ungrouped digest
-        parity tests hold the two copies to bit-identical behavior.
+        The one resolution loop: the batched driver reaches it through
+        :meth:`handle_fault_group`, the scalar driver and direct callers
+        call it per fault.
         """
         engine = self.engine
         stats = app.stats
@@ -1002,31 +974,26 @@ class BaseSwapSystem:
         """Admit a run of consecutive non-resident accesses as one group.
 
         Called by the batched driver when ``consume_batch`` truncates at
-        ``batch[index]``.  The group is an *admission* optimization, not
-        an issue-order change: members resolve strictly one after
-        another through an exact inline copy of :meth:`handle_fault`'s
-        resolution loop (kept in lockstep with that scalar oracle), so
-        every yield, timestamp, and counter matches the ungrouped driver
-        loop (consume → flush → fault, per member) bit-for-bit.  What
-        the group saves is the per-member trip back through the driver
-        and the vectorized consume core: membership is one flat
-        ``resident_map`` read per member against hoisted locals.
+        ``batch[index]``.  Members resolve strictly one after another
+        through :meth:`handle_fault`, each preceded by the CPU flush the
+        driver would perform (consume → flush → fault, per member), so
+        grouping changes no yield, timestamp, or counter.  What it saves
+        is the per-member trip back through the driver and the consume
+        core: membership is one flat ``resident_map`` read per member.
 
         Membership is dynamic — re-checked between members because a
         prefetch landing mid-group makes the next access resident (the
-        group ends there; the driver's vectorized consume takes over),
-        and a page evicted after admission simply faults as the serial
-        path would.  Returns the next batch index via ``StopIteration``.
+        group ends there; the driver's consume core takes over), and a
+        page evicted after admission simply faults.  Returns the next
+        batch index via ``StopIteration``.
         """
-        engine = self.engine
         stats = app.stats
         space = app.space
         resident_map = space.resident_map
         page_map = space.page_map
         execute = app.cores.execute
+        handle_fault = self.handle_fault
         tr = self.trace
-        fault_hooks = self.fault_hooks
-        overhead = self.config.fault_overhead_us
         vpn_list = batch.vpn_list
         write_list = batch.write_list
         cpu = batch.constant_cpu
@@ -1034,11 +1001,14 @@ class BaseSwapSystem:
         n = len(batch)
         first_vpn = vpn_list[index]
         if tr is not None:
-            # Planned run length: one vectorized residency gather over
-            # the batch tail (trace-only; actual membership is dynamic).
-            res = space.resident_bits[batch.vpn_array[index:]]
-            m = int(res.argmax())
-            planned = m if res[m] else n - index
+            # Planned run length up to the first resident access
+            # (trace-only; actual membership is dynamic).  ``resident_map``
+            # is exact for every mapped page, shared ones included.
+            planned = n - index
+            for k in range(index + 1, n):
+                if resident_map[vpn_list[k]] is not None:
+                    planned = k - index
+                    break
             tr.emit(FAULT_GROUP_BEGIN, app.name, thread_id, first_vpn, planned)
         members = 0
         i = index
@@ -1055,131 +1025,9 @@ class BaseSwapSystem:
                 yield from execute(pending_cpu)
                 pending_cpu = 0.0
             write = write_list[i]
-            page = page_map[vpn]
-            # Inline copy of handle_fault (the scalar oracle) — identical
-            # side-effect and yield sequence, one generator frame closer
-            # to the engine.  Mirror any change made there.
-            stats.faults += 1
-            start = engine.now
-            if tr is not None:
-                tr.emit(FAULT_BEGIN, app.name, thread_id, vpn, 1 if write else 0)
-            yield engine.sleep(overhead)
-            cache = self._cache_for(app, page)
-            first_check = True
-            while not page.resident:
-                entry = page.swap_entry
-                if first_check:
-                    if entry is None:
-                        cached = None
-                    elif not page.in_swap_cache:
-                        cache.stats.lookups += 1
-                        cached = None
-                    else:
-                        cached = cache.lookup(entry)
-                    if cached is not None:
-                        stats.cache_hits += 1
-                        if page.prefetched:
-                            if not page.locked:
-                                stats.prefetch_cache_hits += 1
-                                if tr is not None:
-                                    tr.emit(PF_HIT, app.name, thread_id, vpn)
-                                self.telemetry.timeliness_hist(app.name).record(
-                                    engine.now - page.prefetched_at_us
-                                )
-                                page.prefetched = False
-                            self._issue_prefetches(
-                                app, thread_id, vpn, prefetched_hit=True
-                            )
-                    first_check = False
-                else:
-                    cached = cache.peek(entry) if entry is not None else None
-
-                inflight_req = self._inflight_req.get(page)
-                writeback_rescue = (
-                    cached is not None
-                    and page.locked
-                    and inflight_req is not None
-                    and inflight_req.kind is RequestKind.SWAPOUT
-                )
-                if (cached is not None and not page.locked) or writeback_rescue:
-                    yield engine.sleep(self.config.map_in_cost_us)
-                    if page.resident:
-                        break
-                    if not page.in_swap_cache:
-                        continue
-                    current = self._inflight_req.get(page)
-                    rescuing = (
-                        page.locked
-                        and current is not None
-                        and current.kind is RequestKind.SWAPOUT
-                    )
-                    if page.locked and not rescuing:
-                        continue
-                    self._map_in(app, page, write)
-                    if rescuing:
-                        stats.writeback_rescues += 1
-                        if tr is not None:
-                            tr.emit(WB_RESCUE, app.name, thread_id, vpn)
-                        del self._inflight_req[page]
-                        stale_event = self._inflight.pop(page, None)
-                        if stale_event is not None and not stale_event.fired:
-                            stale_event.succeed()
-                    break
-
-                event = self._inflight.get(page)
-                if event is not None:
-                    if page.prefetched:
-                        stats.blocked_on_prefetch += 1
-                        if tr is not None:
-                            tr.emit(PF_LATE, app.name, thread_id, vpn)
-                    if tr is not None:
-                        tr.emit(FAULT_PARK, app.name, thread_id, vpn)
-                    yield from self._wait_inflight(app, page, thread_id, event)
-                    if tr is not None:
-                        tr.emit(FAULT_WAKE, app.name, thread_id, vpn)
-                    continue
-
-                # Demand swap-in.
-                stats.demand_swapins += 1
-                if entry is None:
-                    raise RuntimeError(
-                        f"{app.name}: vpn {vpn:#x} non-resident without swap entry"
-                    )
-                event = Event(
-                    engine,
-                    f"read.{app.name}.{vpn:#x}" if DEBUG_EVENT_NAMES else "",
-                )
-                self._inflight[page] = event
-                page.locked = True
-                if app.pool.try_charge(1):
-                    if app.pool.above_low_watermark:
-                        self._kick_kswapd(app)
-                else:
-                    yield from self._charge_frames(app, 1, thread_id)
-                cache.insert(entry, page, prefetched=False)
-                request = self._acquire_request(
-                    RdmaOp.READ, RequestKind.DEMAND, app.name, entry, page
-                )
-                self._inflight_req[page] = request
-                entry.timestamp_us = None
-                if tr is not None:
-                    tr.emit(
-                        DEMAND_ISSUE, app.name, thread_id, vpn, request.request_id
-                    )
-                self._submit_read(app, request)
-                self._issue_prefetches(app, thread_id, vpn)
-                if tr is not None:
-                    tr.emit(FAULT_PARK, app.name, thread_id, vpn)
-                yield from self._wait_inflight(app, page, thread_id, event)
-                if tr is not None:
-                    tr.emit(FAULT_WAKE, app.name, thread_id, vpn)
-            stats.fault_stall_us += engine.now - start
-            if tr is not None:
-                tr.emit(FAULT_END, app.name, thread_id, vpn, engine.now - start)
-            for hook in fault_hooks:
-                hook(app.name, thread_id, vpn, start, engine.now)
+            yield from handle_fault(app, thread_id, vpn, write)
             if write:
-                page.dirty = True
+                page_map[vpn].dirty = True
             members += 1
             i += 1
         if tr is not None:
@@ -1451,7 +1299,7 @@ class BaseSwapSystem:
             freed = self._shrink_cache_if_needed(app, force_min=n_pages)
             if freed >= n_pages:
                 continue
-            done = yield from self._evict_one(app, core_id, wait_writeback=True)
+            done = yield from self._evict_one(app, core_id)
             if not done:
                 if app.outstanding_writebacks > 0:
                     # Every frame is pinned by an in-flight writeback:
@@ -1462,18 +1310,23 @@ class BaseSwapSystem:
         if app.pool.above_low_watermark:
             self._kick_kswapd(app)
 
-    def _evict_one(
-        self, app: AppContext, core_id: int, wait_writeback: bool
+    def _evict_victim(
+        self, app: AppContext, victim: Page, core_id: int, lane: int
     ) -> Generator:
-        """Evict one LRU victim.  Returns True if a page was evicted."""
-        victim = app.lru.select_victim()
-        if victim is None:
-            return False
+        """Evict one selected victim; the per-victim body of reclaim.
+
+        Clears the residency flags, then either drops a clean page whose
+        remote copy is still valid (no yields) or prepares its writeback:
+        lock, entry allocation (which may yield), swap-cache insert, and
+        the pooled write request.  Returns that request for the caller
+        to submit, or None for a clean drop.  ``lane`` is the trace
+        thread the records land on.
+        """
         victim.resident = False
         victim.referenced = False
         tr = self.trace
         if tr is not None:
-            tr.emit(EVICT, app.name, core_id, victim.vpn, 1 if victim.dirty else 0)
+            tr.emit(EVICT, app.name, lane, victim.vpn, 1 if victim.dirty else 0)
         self._on_evicted(app, victim)
         cache = self._cache_for(app, victim)
 
@@ -1482,11 +1335,11 @@ class BaseSwapSystem:
             app.pool.uncharge(1)
             app.stats.clean_drops += 1
             if tr is not None:
-                tr.emit(CLEAN_DROP, app.name, core_id, victim.vpn)
+                tr.emit(CLEAN_DROP, app.name, lane, victim.vpn)
             # Still a swap-out for throughput purposes: the page left
             # local memory and lives remotely (its write was just free).
             self.telemetry.swapout_rate(app.name).record(self.engine.now)
-            return True
+            return None
 
         # Writeback path: obtain an entry, push through the cache.  The
         # page must be protected *before* the (possibly lock-waiting)
@@ -1507,45 +1360,49 @@ class BaseSwapSystem:
         )
         self._inflight_req[victim] = request
         if tr is not None:
-            tr.emit(WB_ISSUE, app.name, core_id, victim.vpn, request.request_id)
+            tr.emit(WB_ISSUE, app.name, lane, victim.vpn, request.request_id)
         app.outstanding_writebacks += 1
-        self._submit_write(app, request)
         app.stats.swapouts += 1
         self.telemetry.swapout_rate(app.name).record(self.engine.now)
-        if wait_writeback:
+        return request
+
+    def _evict_one(self, app: AppContext, core_id: int) -> Generator:
+        """Direct reclaim: evict one LRU victim and wait for its writeback.
+
+        Returns True if a page was evicted.
+        """
+        victims = app.lru.select_victims(1)
+        if not victims:
+            return False
+        request = yield from self._evict_victim(app, victims[0], core_id, core_id)
+        if request is not None:
+            self._submit_write(app, request)
             # Wait on the request's own completion, not the page's
             # in-flight event: a rescue may detach the latter.
             yield request.completion
         return True
 
     def _evict_many(self, app: AppContext, core_id: int, n: int) -> Generator:
-        """Evict up to ``n`` LRU victims in grouped reclaim rounds.
+        """Background reclaim: evict up to ``n`` LRU victims in rounds.
 
-        The write-side twin of ``handle_fault_group``: one generator
-        drives kswapd's whole batch instead of one ``_evict_one``
-        sub-generator per page.  Each round drains victims from the LRU
-        in a single revalidated ``select_victims`` pass that *stops at
-        the first page needing a writeback* (:func:`_needs_writeback`).
-        Everything up to and including that page's lock happens at one
-        simulated instant with no yields, so selecting those victims up
-        front is invisible; the writeback member then yields in entry
-        allocation, and victims after it must be re-selected post-yield
-        exactly as the serial loop would — hence a new round.  Per round
-        at most one write request exists; its NIC submit is deferred
-        past the round's remaining pure host-side accounting and flushed
-        through :meth:`_submit_write_many` before the next round's
-        allocation yield, so the doorbell keeps its serial FIFO position
-        in the engine's immediate lane.  Digest-identical to ``n``
-        serial ``_evict_one`` calls (``grouped_reclaim=False`` keeps
-        that oracle); ``tests/test_grouped_reclaim.py`` pins the
-        equivalence per system and under fault injection.
+        One generator drives kswapd's whole batch.  Each round drains
+        victims from the LRU in a single revalidated ``select_victims``
+        pass that *stops at the first page needing a writeback*
+        (:func:`_needs_writeback`).  Everything up to and including that
+        page's lock happens at one simulated instant with no yields, so
+        selecting those victims up front is invisible; the writeback
+        member then yields in entry allocation, and victims after it are
+        selected after the yield — hence a new round.  Per round at most
+        one write request exists; its NIC submit is deferred past the
+        round's remaining host-side accounting and flushed through
+        :meth:`_submit_write_many` before the next round's allocation
+        yield, so the doorbell keeps its FIFO position in the engine's
+        immediate lane.
 
-        Trace records for grouped rounds land on thread lane
-        ``RECLAIM_LANE`` so the ``reclaim-group-pairing`` lint can count
-        this group's EVICTs without catching concurrent direct-reclaim
-        evictions on thread 0.  Returns the number of pages evicted
-        (short only when the LRU runs dry — the serial loop's surplus
-        ``select_victim()`` calls are side-effect-free no-ops).
+        Trace records land on thread lane ``RECLAIM_LANE`` so the
+        ``reclaim-group-pairing`` lint can count this group's EVICTs
+        without catching concurrent direct-reclaim evictions.  Returns
+        the number of pages evicted (short only when the LRU runs dry).
         """
         tr = self.trace
         if tr is not None:
@@ -1557,60 +1414,12 @@ class BaseSwapSystem:
                 break
             to_submit: List[RdmaRequest] = []
             for victim in victims:
-                victim.resident = False
-                victim.referenced = False
-                if tr is not None:
-                    tr.emit(
-                        EVICT,
-                        app.name,
-                        RECLAIM_LANE,
-                        victim.vpn,
-                        1 if victim.dirty else 0,
-                    )
-                self._on_evicted(app, victim)
-                cache = self._cache_for(app, victim)
-
-                if not victim.dirty and victim.swap_entry is not None:
-                    app.pool.uncharge(1)
-                    app.stats.clean_drops += 1
-                    if tr is not None:
-                        tr.emit(CLEAN_DROP, app.name, RECLAIM_LANE, victim.vpn)
-                    self.telemetry.swapout_rate(app.name).record(self.engine.now)
-                    evicted += 1
-                    continue
-
-                victim.locked = True
-                event = Event(
-                    self.engine,
-                    f"writeback.{app.name}.{victim.vpn:#x}"
-                    if DEBUG_EVENT_NAMES
-                    else "",
+                request = yield from self._evict_victim(
+                    app, victim, core_id, RECLAIM_LANE
                 )
-                self._inflight[victim] = event
-                entry = yield from self._obtain_writeback_entry(
-                    app, victim, core_id
-                )
-                entry.stored_vpn = victim.vpn
-                victim.swap_entry = entry
-                victim.dirty = True  # data must travel
-                cache.insert(entry, victim, prefetched=False)
-                request = self._acquire_request(
-                    RdmaOp.WRITE, RequestKind.SWAPOUT, app.name, entry, victim
-                )
-                self._inflight_req[victim] = request
-                if tr is not None:
-                    tr.emit(
-                        WB_ISSUE,
-                        app.name,
-                        RECLAIM_LANE,
-                        victim.vpn,
-                        request.request_id,
-                    )
-                app.outstanding_writebacks += 1
-                to_submit.append(request)
-                app.stats.swapouts += 1
-                self.telemetry.swapout_rate(app.name).record(self.engine.now)
-                evicted += 1
+                if request is not None:
+                    to_submit.append(request)
+            evicted += len(victims)
             if to_submit:
                 self._submit_write_many(app, to_submit)
         if tr is not None:
@@ -1712,14 +1521,7 @@ class BaseSwapSystem:
             # kswapd is one kernel thread: it evicts its batch serially
             # (each writeback is issued asynchronously, so the wire still
             # pipelines); only faulting threads add allocation concurrency.
-            # Grouped reclaim drives the batch through one generator with
-            # batched selection and doorbell-deferred egress — the serial
-            # loop below is the digest oracle it is pinned against.
-            if self.config.grouped_reclaim and app.lru.flat:
-                yield from self._evict_many(app, 0, batch)
-            else:
-                for _ in range(batch):
-                    yield from self._evict_one(app, 0, wait_writeback=False)
+            yield from self._evict_many(app, 0, batch)
             # Writebacks issued; give completions a chance to land before
             # the next round so the target reflects reality.
             yield self.engine.sleep(8.0)

@@ -185,13 +185,11 @@ class ActiveInactiveLRU:
     ) -> List[Page]:
         """Pop up to ``n`` victims at one simulated instant.
 
-        Identical to ``n`` back-to-back :meth:`select_victim` calls with
-        no intervening LRU mutations.  When ``stop`` is given the batch
-        ends with the first victim for which ``stop(page)`` is true (that
-        victim is included) — the grouped reclaim path uses it to cut the
-        batch at the first member whose processing passes simulated time,
-        so every pop happens at the instant the serial oracle would have
-        made it.
+        Equivalent to ``n`` back-to-back :meth:`select_victim` calls.
+        When ``stop`` is given the batch ends with the first victim for
+        which ``stop(page)`` is true (that victim is included) — reclaim
+        uses it to cut the batch at the first member whose processing
+        passes simulated time, so every later pop happens after it.
         """
         victims: List[Page] = []
         while len(victims) < n:
@@ -291,10 +289,6 @@ class GenerationLRU:
 
     flat = True
 
-    #: Spaces at or below this many pages use the direct scan instead of
-    #: the candidate-queue fallbacks (the two paths pick identical
-    #: victims; the direct scan's full-array pass is trivial here).
-    SMALL_SPACE_PAGES = 1024
     #: Queue remainders at or below this take the per-entry drain; the
     #: vectorized drain's fixed gather cost only amortizes above it.
     DRAIN_GATHER_MIN = 64
@@ -554,38 +548,6 @@ class GenerationLRU:
         self._vq_pos = 0
         return True
 
-    def _select_victim_direct(self) -> Optional[Page]:
-        """Second-chance scan over a small inactive set, no queue.
-
-        One stamp argsort replays the linked structure's tail-to-head
-        walk: every referenced page before the first unreferenced one
-        rotates (referenced cleared, fresh stamp, in stamp order), the
-        first unreferenced page is the victim.  An all-referenced set
-        rotates completely and the walk restarts — the first-rotated
-        page, now lowest-stamped and clean, wins, exactly as the linked
-        loop's ``len(inactive) + 1`` iterations end."""
-        space = self.space
-        where = space.lru_where
-        stamp_arr = space.lru_stamp
-        pages = space.pages
-        while True:
-            inactive = np.flatnonzero(where == LRU_INACTIVE)
-            if not len(inactive):
-                return None
-            order = np.argsort(stamp_arr[inactive], kind="stable")
-            for vpn in inactive[order].tolist():
-                page = pages[vpn]
-                # The referenced accessor keeps shared pages (flag home
-                # in another space) behaving like the linked structure.
-                if page.referenced:
-                    page.referenced = False
-                    stamp_arr[vpn] = self._take_stamps(1)  # rotate to head
-                    continue
-                where[vpn] = LRU_NONE
-                self._n_inactive -= 1
-                return page
-            # Everything rotated: scan again from the fresh stamps.
-
     def _vq_compact_tail(self) -> None:
         """Drop stale append-segment entries (vectorized revalidation).
 
@@ -654,164 +616,25 @@ class GenerationLRU:
         self._vq_pos = pos
         return None
 
-    def _drain_segment(self) -> Optional[Page]:
-        """Pop the next victim off the array segment (second chance).
-
-        One gather revalidates every remaining candidate and one scan of
-        the flat referenced bits finds the first evictable one; the
-        referenced candidates ahead of it batch-rotate with consecutive
-        stamps in queue order — value-for-value the sequence the
-        per-entry loop's ``_take_stamps(1)`` calls would assign (a VPN
-        can appear twice in the queue, but stamps are never reused
-        within an epoch, so at most one of its entries validates — no
-        entry can alias another's rotation).  Only taken when every
-        candidate's flag home is this space, the whole drain fits inside
-        the current stamp epoch, and the remainder is big enough that
-        one gather beats the per-entry loop — under fault storms the
-        inactive set (and so the queue) runs nearly empty and a couple
-        of scalar pops win; the gathers pay off on the fat queues of
-        large, lightly-pressured spaces.
-        """
-        pos = self._vq_pos
-        vq_vpns = self._vq_vpns
-        n = len(vq_vpns)
-        if pos >= n:
-            return None
-        space = self.space
-        if (
-            n - pos <= self.DRAIN_GATHER_MIN
-            or space.has_foreign_pages
-            or self._gen + (n - pos) > self.epoch_limit
-        ):
-            return self._drain_segment_scalar()
-        where = space.lru_where
-        stamp_arr = space.lru_stamp
-        vpns = vq_vpns[pos:]
-        live = np.flatnonzero(
-            (where[vpns] == LRU_INACTIVE) & (stamp_arr[vpns] == self._vq_stamps[pos:])
-        )
-        if not len(live):  # every entry promoted/removed/rotated away
-            self._vq_pos = n
-            return None
-        referenced = space.referenced_bits[vpns[live]]
-        unref = np.flatnonzero(~referenced)
-        if not len(unref):
-            # All live candidates are referenced: rotate them all and
-            # report the segment drained (the rotations re-queue them).
-            rotated = vpns[live]
-            space.referenced_bits[rotated] = False
-            start = self._take_stamps(len(rotated))
-            stamp_arr[rotated] = np.arange(
-                start, start + len(rotated), dtype=np.int64
-            )
-            self._vq_tail_stamps.extend(range(start, start + len(rotated)))
-            self._vq_tail_vpns.extend(rotated.tolist())
-            self._vq_pos = n
-            return None
-        first = int(unref[0])
-        if first:
-            rotated = vpns[live[:first]]
-            space.referenced_bits[rotated] = False
-            start = self._take_stamps(len(rotated))
-            stamp_arr[rotated] = np.arange(
-                start, start + len(rotated), dtype=np.int64
-            )
-            self._vq_tail_stamps.extend(range(start, start + len(rotated)))
-            self._vq_tail_vpns.extend(rotated.tolist())
-        victim = int(vpns[live[first]])
-        where[victim] = LRU_NONE
-        self._n_inactive -= 1
-        self._vq_pos = pos + int(live[first]) + 1
-        return space.pages[victim]
-
-    def _drain_victim_queue(self) -> Optional[Page]:
-        """Pop the next victim off the candidate queue (second chance).
-
-        Drains the sorted array segment, then promotes the append
-        segment (whose stamps are all higher) and keeps going; rotations
-        re-queue through the append segment, so an all-referenced queue
-        converges exactly like the linked structure's full rotation —
-        the first-rotated page, now lowest-stamped and clean, wins.
-        An incomplete queue (fresh LRU, or epoch renormalization since
-        the last drain) is first rebuilt with one exhaustive refill
-        scan.  ``None`` therefore means the inactive set is empty —
-        unless a mid-drain renormalization invalidated the queue again
-        (the caller's scan fallbacks cover that).
-        """
-        if not self._vq_complete:
-            # The refill takes no stamps, so completeness holds the
-            # moment it returns; set the flag first so its queue write
-            # is never wiped by a racing invariant check.
-            self._vq_complete = True
-            self._refill_victim_queue()
-        while True:
-            victim = self._drain_segment()
-            if victim is not None:
-                return victim
-            if self._vq_pos >= len(self._vq_vpns) and self._vq_tail_vpns:
-                self._vq_promote_tail()
-                continue
-            return None
-
-    def select_victim(self) -> Optional[Page]:
-        """Pick an eviction victim from the inactive tail.
-
-        A referenced candidate gets a second chance (fresh stamp, the
-        rotation-to-head of the linked structure, with its referenced bit
-        cleared).  Victims come off the append-fed candidate queue — new
-        stamps are always higher than queued ones, so the queue front,
-        revalidated against promotion/removal/rotation at pop time, is
-        always the current lowest-stamp inactive page.  The scans below
-        are fallbacks for an invalidated (renormalized/bootstrapped)
-        queue.
-        """
-        victim = self._drain_victim_queue()
-        if victim is not None:
-            return victim
-        space = self.space
-        where = space.lru_where
-        stamp_arr = space.lru_stamp
-        pages = space.pages
-        if not self._vq_complete:
-            # A mid-drain epoch renormalization invalidated the rebuilt
-            # queue; the direct scan replays the full second-chance walk
-            # without queue bookkeeping (its rotations renormalize
-            # freely — the next drain rebuilds from whatever stamps
-            # stand).
-            victim = self._select_victim_direct()
-            if victim is not None:
-                return victim
-        # Otherwise the drain's ``None`` is authoritative: the inactive
-        # set is empty, so fall through to aging the active list.
-        # Fall back to aging the active list; the freshly demoted pages
-        # arrive with referenced cleared, so the pop is unconditional
-        # (exactly the linked structure's fallback pop_tail).
-        self.balance()
-        inactive = np.flatnonzero(where == LRU_INACTIVE)
-        if not len(inactive):
-            return None
-        vpn = int(inactive[np.argmin(stamp_arr[inactive])])
-        where[vpn] = LRU_NONE
-        self._n_inactive -= 1
-        return pages[vpn]
-
     def _drain_segment_multi(
         self, need: int, out: List[Page], stop: Optional[Callable[[Page], bool]]
     ) -> bool:
         """Pop up to ``need`` victims off the array segment in one pass.
 
-        Multi-victim twin of :meth:`_drain_segment`: one gather
-        revalidates the whole remainder, one referenced gather classifies
-        the live candidates, and every consumed referenced candidate
-        batch-rotates with consecutive stamps in queue order — exactly
-        the stamps ``need`` sequential :meth:`select_victim` calls would
-        assign, because victims take no stamps and rotations are stamped
-        in encounter order either way.  Candidates beyond the last
-        consumed victim are left untouched (their rotations have not
-        happened yet in the serial order).  Returns True when ``stop``
-        ended the batch.  Only sound at a single simulated instant: the
-        caller must not yield between pops (LRU state frozen), which is
-        what the ``stop`` predicate guarantees for the reclaim path.
+        One gather revalidates the whole remainder, one referenced
+        gather classifies the live candidates, and every consumed
+        referenced candidate batch-rotates with consecutive stamps in
+        queue order — exactly the stamps a per-entry walk's
+        ``_take_stamps(1)`` calls would assign, because victims take no
+        stamps and rotations are stamped in encounter order either way
+        (a VPN can appear twice in the queue, but stamps are never
+        reused within an epoch, so at most one of its entries
+        validates).  Candidates beyond the last consumed victim are left
+        untouched: their rotations have not happened yet.  Returns True
+        when ``stop`` ended the batch.  Only sound at a single simulated
+        instant: the caller must not yield between pops (LRU state
+        frozen), which is what the ``stop`` predicate guarantees for the
+        reclaim path.
         """
         pos = self._vq_pos
         vq_vpns = self._vq_vpns
@@ -824,8 +647,8 @@ class GenerationLRU:
             or space.has_foreign_pages
             or self._gen + (n - pos) > self.epoch_limit
         ):
-            # Same fallbacks as the single-victim drain; the per-entry
-            # loop is already exact, so just take victims one at a time.
+            # Shared-flag spaces, drains that could cross the epoch
+            # edge, and short remainders take the per-entry loop.
             while need > 0:
                 page = self._drain_segment_scalar()
                 if page is None:
@@ -895,44 +718,72 @@ class GenerationLRU:
         self._vq_pos = pos + int(live[last_u]) + 1
         return stopped
 
+
+    def _pop_after_balance(self) -> Optional[Page]:
+        """Age the active list, then pop the lowest-stamp inactive page.
+
+        The empty-inactive-set fallback: the freshly demoted pages arrive
+        with referenced cleared, so the pop is unconditional (exactly the
+        linked structure's ``balance()`` + ``pop_tail``).
+        """
+        self.balance()
+        space = self.space
+        where = space.lru_where
+        inactive = np.flatnonzero(where == LRU_INACTIVE)
+        if not len(inactive):
+            return None
+        vpn = int(inactive[np.argmin(space.lru_stamp[inactive])])
+        where[vpn] = LRU_NONE
+        self._n_inactive -= 1
+        return space.pages[vpn]
+
     def select_victims(
         self, n: int, stop: Optional[Callable[[Page], bool]] = None
     ) -> List[Page]:
-        """Pop up to ``n`` victims in one revalidated pass.
+        """Pop up to ``n`` eviction victims at one simulated instant.
 
-        Identical to ``n`` back-to-back :meth:`select_victim` calls made
-        with no intervening LRU mutations: the queue remainder is
-        revalidated with one gather instead of one per pop, consumed
-        referenced candidates batch-rotate with the stamps the serial
-        loop would have assigned, and the scan fallbacks (incomplete
-        queue, renormalized epoch, empty inactive set) delegate to the
-        serial selector member by member.  When ``stop`` is given the
-        batch ends with the first victim for which ``stop(page)`` is
-        true (included) — the grouped reclaim path cuts the batch at the
-        first member whose processing passes simulated time, keeping
-        every later pop at the instant the serial oracle would make it.
+        Second chance, as in the linked structure: a referenced candidate
+        is rotated to the head (fresh stamp, referenced cleared) instead
+        of evicted.  Victims come off the append-fed candidate queue —
+        new stamps are always higher than queued ones, so the queue
+        front, revalidated against promotion/removal/rotation, is always
+        the current lowest-stamp inactive page.  The array segment drains
+        first, then the append segment is promoted behind it; rotations
+        re-queue through the append segment, so an all-referenced queue
+        converges exactly like the linked full rotation (the
+        first-rotated page, now lowest-stamped and clean, wins).
+
+        An incomplete queue (fresh LRU, or an epoch renormalization —
+        possibly one a rotation in this very call triggered) is rebuilt
+        with one exhaustive refill scan before draining on.  Only an
+        empty complete queue means an empty inactive set; then the
+        active list is aged and its oldest demoted page taken.
+
+        ``n`` victims from one call equal ``n`` calls of
+        ``select_victims(1)`` with no LRU mutation in between.  When
+        ``stop`` is given the batch ends with the first victim for which
+        ``stop(page)`` is true (that victim included): reclaim cuts at
+        the first member whose processing passes simulated time, so every
+        later pop happens after it.
         """
         victims: List[Page] = []
-        if n <= 0:
-            return victims
-        if not self._vq_complete:
-            self._vq_complete = True
-            self._refill_victim_queue()
         while len(victims) < n:
+            if not self._vq_complete:
+                # The refill takes no stamps, so completeness holds the
+                # moment it returns.
+                self._vq_complete = True
+                self._refill_victim_queue()
             before = len(victims)
             if self._drain_segment_multi(n - before, victims, stop):
-                return victims
+                break
             if len(victims) > before:
                 continue
             if self._vq_pos >= len(self._vq_vpns) and self._vq_tail_vpns:
                 self._vq_promote_tail()
                 continue
-            break
-        # Queue exhausted (or invalidated by a mid-drain epoch
-        # renormalization): the serial selector per member replays the
-        # oracle's direct-scan and balance fallbacks exactly.
-        while len(victims) < n:
-            page = self.select_victim()
+            if not self._vq_complete:
+                continue  # a rotation renormalized mid-drain: rebuild
+            page = self._pop_after_balance()
             if page is None:
                 break
             victims.append(page)

@@ -19,9 +19,19 @@ import hashlib
 from typing import Callable, Dict
 
 from repro.cluster import ClusterConfig
-from repro.faults import RACK_SCENARIOS, SCENARIOS
+from repro.faults import (
+    FAULT_ERROR,
+    RACK_SCENARIOS,
+    SCENARIOS,
+    FaultConfig,
+    FaultPlan,
+)
+from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.experiment import ExperimentConfig, churn_digest, run_experiment
+from repro.harness.machine import Machine
 from repro.harness.results import result_digest
+from tests.conftest import build_system, sequential_accesses
+from tests.test_lifecycle import churn_config
 
 __all__ = [
     "SYSTEMS",
@@ -83,11 +93,6 @@ def rack_run(system, fault_config, n_servers=4, apps=("memcached",), seed=11):
 def writeback_error_run():
     """A write-heavy flat-state run whose first swap-out fails straight
     to an error CQE; returns ``(machine, system, app)``."""
-    from repro.faults import FAULT_ERROR, FaultConfig, FaultPlan
-    from repro.harness.driver import run_to_completion, spawn_app
-    from repro.harness.machine import Machine
-    from tests.conftest import build_system, sequential_accesses
-
     machine = Machine(seed=1)
     system, app, vma = build_system(machine, flat_state=True)
     plan = FaultPlan(
@@ -121,8 +126,6 @@ def writeback_error_digest(machine, app) -> str:
 
 
 def _churn() -> str:
-    from tests.test_lifecycle import churn_config
-
     return churn_digest(churn_config("canvas"))
 
 

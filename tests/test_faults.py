@@ -13,7 +13,8 @@ Three layers:
   leaked pooled requests, no stuck waiters, and every injected fault
   resolved; fixed seed + plan gives identical digests serially and
   across parallel workers; a zero plan is bit-identical to no plan on
-  every system (the A/B digest guard).
+  every system (the A/B digest guard).  Scenario runs reproduce their
+  committed golden digests (``tests/golden``).
 """
 
 import pytest
@@ -46,6 +47,8 @@ from tests.conftest import (
     seq_stream,
     sequential_accesses,
 )
+from tests.golden import golden
+from tests.golden.matrix import faulted_run, rack_run, scenario_key, system_key
 
 
 def _reconciled(stats) -> bool:
@@ -429,35 +432,21 @@ def test_zero_fault_config_is_bit_identical_to_no_plan(system):
 # -- Grouped fault admission under chaos ---------------------------------
 
 
-def _faulted_run(system, fault_config, grouped, seed=11):
-    overrides = {} if grouped else {"grouped_faults": False}
-    config = ExperimentConfig(
-        system=system,
-        scale=0.03,
-        seed=seed,
-        fault_config=fault_config,
-        system_config_overrides=overrides,
-    )
-    return run_experiment(["memcached"], config)
-
-
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_grouped_admission_survives_every_fault_scenario(scenario):
     """Coalesced admission under chaos: per-request verdicts still roll
-    inside a group, and the run is bit-identical to ungrouped admission."""
-    fault_config = scenario_config(scenario)
-    grouped = _faulted_run("canvas", fault_config, grouped=True)
-    ungrouped = _faulted_run("canvas", fault_config, grouped=False)
-    # (a) digest parity: grouping is an admission optimization, not a
-    # semantic change, even while members drop/error/retry.
-    assert result_digest(grouped) == result_digest(ungrouped)
+    inside a group, and the run reproduces its golden digest."""
+    result = faulted_run("canvas", scenario_config(scenario))
+    # (a) the committed digest: drops/errors/retries resolving inside
+    # fault groups move no simulated number.
+    assert result_digest(result) == golden(scenario_key(scenario))
     # (b) the fault ledger reconciles: every injected transport fault
     # was retransmitted to success or surfaced as an error CQE.
-    stats = grouped.machine.nic.stats
+    stats = result.machine.nic.stats
     assert _reconciled(stats)
     assert stats.error_cqes_delivered == stats.transport_failures
     # (c) no leaked pooled requests, no stuck parked waiters.
-    system = grouped.system
+    system = result.system
     assert system._inflight == {}
     assert system._inflight_req == {}
     assert all(a.outstanding_writebacks == 0 for a in system.apps.values())
@@ -469,32 +458,12 @@ def test_grouped_admission_survives_every_fault_scenario(scenario):
 
 @pytest.mark.parametrize("system", _AB_SYSTEMS)
 def test_grouped_admission_is_digest_invisible(system):
-    """Grouped vs. ungrouped admission on a clean fabric, every system."""
-    assert result_digest(
-        _faulted_run(system, None, grouped=True)
-    ) == result_digest(_faulted_run(system, None, grouped=False))
+    """Grouped admission on a clean fabric, every system: the run
+    reproduces its golden digest."""
+    assert result_digest(faulted_run(system)) == golden(system_key(system))
 
 
 # -- Rack-scale chaos: server death, drain, and re-homing (PR 9) ---------
-
-
-def _rack_run(system, fault_config, n_servers=4, apps=("memcached",), seed=11):
-    """A scaled run on an n-server rack, drained past app completion.
-
-    Apps finish before background migration necessarily does; the
-    post-run drain (the established chaos idiom) lets every in-flight
-    verb and migration leg resolve before the cleanliness assertions.
-    """
-    config = ExperimentConfig(
-        system=system,
-        scale=0.03,
-        seed=seed,
-        cluster=ClusterConfig(n_servers=n_servers),
-        fault_config=fault_config,
-    )
-    result = run_experiment(list(apps), config)
-    result.machine.engine.run(until=result.machine.engine.now + 200_000)
-    return result
 
 
 def _assert_rack_clean(result):
@@ -524,7 +493,7 @@ def test_rack_scenario_lookup():
 @pytest.mark.parametrize("scenario", sorted(RACK_SCENARIOS))
 def test_rack_scenarios_complete_clean_on_canvas(scenario):
     """Every scripted rack episode resolves with nothing leaked."""
-    result = _rack_run("canvas", rack_scenario_config(scenario))
+    result = rack_run("canvas", rack_scenario_config(scenario))
     for app in result.apps.values():
         assert app.finished_at_us is not None
     _assert_rack_clean(result)
@@ -535,7 +504,7 @@ def test_rack_scenarios_complete_clean_on_canvas(scenario):
 
 
 def test_rack_server_death_mid_writeback_rehomes_every_binding():
-    result = _rack_run("canvas", RACK_SCENARIOS["server-death"])
+    result = rack_run("canvas", RACK_SCENARIOS["server-death"])
     stats = result.rack.stats
     assert stats.servers_failed == 1
     # Server 0 held live bindings when it died: pages whose only copy
@@ -555,7 +524,7 @@ def test_rack_server_death_mid_writeback_rehomes_every_binding():
 
 def test_rack_drain_during_fault_storm_migrates_clean():
     """Background drain under transport chaos: both ledgers reconcile."""
-    result = _rack_run("canvas", RACK_SCENARIOS["drain-storm"])
+    result = rack_run("canvas", RACK_SCENARIOS["drain-storm"])
     rack_stats = result.rack.stats
     assert rack_stats.servers_drained == 1
     assert rack_stats.pages_drained > 0
@@ -567,7 +536,7 @@ def test_rack_drain_during_fault_storm_migrates_clean():
 
 
 def test_rack_double_failure_survivors_absorb_both_waves():
-    result = _rack_run("canvas", RACK_SCENARIOS["double-failure"])
+    result = rack_run("canvas", RACK_SCENARIOS["double-failure"])
     stats = result.rack.stats
     assert stats.servers_failed == 2
     counts = result.rack.homed_counts()
@@ -578,8 +547,8 @@ def test_rack_double_failure_survivors_absorb_both_waves():
 
 def test_rack_chaos_is_deterministic():
     fault_config = RACK_SCENARIOS["double-failure"]
-    a = _rack_run("canvas", fault_config)
-    b = _rack_run("canvas", fault_config)
+    a = rack_run("canvas", fault_config)
+    b = rack_run("canvas", fault_config)
     assert result_digest(a) == result_digest(b)
     assert a.rack.stats == b.rack.stats
 

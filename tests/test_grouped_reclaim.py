@@ -1,82 +1,66 @@
-"""Grouped reclaim vs the serial eviction oracle (the PR 8 twin of the
-PR 7 grouped-fault suite).
+"""Grouped reclaim: kswapd's batched eviction path, pinned by golden digests.
 
 ``_evict_many`` batches kswapd's eviction → entry-allocation → writeback
 egress pipeline: one generator per batch, one revalidated
 ``select_victims`` pass per round (cut at the first writeback-needing
-victim), and one write doorbell per round.  Its contract is the same as
-grouped fault admission's: a *pure host-cost optimization*, bit-identical
-to the serial ``_evict_one`` loop kept behind ``grouped_reclaim=False``.
+victim), and one write doorbell per round.  Each victim goes through the
+same per-victim body as direct reclaim's ``_evict_one``.
 
 Layers:
 
-* **Digest guards** — grouped vs scalar reclaim on every system, on a
-  co-run, and under every named fault scenario.
+* **Digest guards** — every system, a co-run, and every named fault
+  scenario reproduce their committed golden digests (``tests/golden``).
 * **Chaos unwind** — a scripted writeback error landing inside a grouped
-  eviction batch reissues and reconciles exactly like the scalar path.
+  eviction batch reissues and reconciles to the recorded counts.
 * **Counter invariants** — the per-app ``outstanding_writebacks`` /
   ``inflight_prefetches`` counters never go negative and reconcile to
   zero once the system drains, sampled live during a faulted co-run.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.faults import FAULT_ERROR, FaultConfig, FaultPlan, SCENARIOS, scenario_config
+from repro.faults import SCENARIOS, scenario_config
 from repro.harness.driver import run_to_completion, spawn_app
-from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.machine import Machine
 from repro.harness.results import result_digest
 from tests.conftest import build_system, sequential_accesses
-
-_AB_SYSTEMS = ["linux", "linux514", "fastswap", "infiniswap", "canvas-iso", "canvas"]
-
-
-def _reclaim_run(system, grouped, workloads=None, fault_config=None, seed=11):
-    overrides = {} if grouped else {"grouped_reclaim": False}
-    config = ExperimentConfig(
-        system=system,
-        scale=0.03,
-        seed=seed,
-        fault_config=fault_config,
-        system_config_overrides=overrides,
-    )
-    return run_experiment(workloads or ["memcached"], config)
+from tests.golden import golden
+from tests.golden.matrix import (
+    SYSTEMS,
+    faulted_run,
+    scenario_key,
+    system_key,
+    writeback_error_digest,
+    writeback_error_run,
+)
 
 
-@pytest.mark.parametrize("system", _AB_SYSTEMS)
+@pytest.mark.parametrize("system", SYSTEMS)
 def test_grouped_reclaim_is_digest_invisible(system):
-    """Grouped vs. scalar reclaim on a clean fabric, every system."""
-    assert result_digest(_reclaim_run(system, True)) == result_digest(
-        _reclaim_run(system, False)
-    )
+    """Grouped reclaim on a clean fabric, every system."""
+    assert result_digest(faulted_run(system)) == golden(system_key(system))
 
 
 def test_grouped_reclaim_digest_invisible_on_co_run():
     """The fig. 10 shape: a canvas co-run under memory pressure."""
-    pair = ["memcached", "neo4j"]
-    assert result_digest(
-        _reclaim_run("canvas", True, workloads=pair)
-    ) == result_digest(_reclaim_run("canvas", False, workloads=pair))
+    result = faulted_run("canvas", workloads=["memcached", "neo4j"])
+    assert result_digest(result) == golden(system_key("canvas", "memcached+neo4j"))
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_grouped_reclaim_survives_every_fault_scenario(scenario):
     """Grouped reclaim under chaos: writeback-error verdicts stay exact
-    within a batch and the run is bit-identical to serial eviction."""
-    fault_config = scenario_config(scenario)
-    grouped = _reclaim_run("canvas", True, fault_config=fault_config)
-    scalar = _reclaim_run("canvas", False, fault_config=fault_config)
-    assert result_digest(grouped) == result_digest(scalar)
-    # The fault ledger reconciles on the grouped run...
-    stats = grouped.machine.nic.stats
+    within a batch and the run reproduces its golden digest."""
+    result = faulted_run("canvas", scenario_config(scenario))
+    assert result_digest(result) == golden(scenario_key(scenario))
+    # The fault ledger reconciles...
+    stats = result.machine.nic.stats
     assert (
         stats.wire_drops + stats.completion_errors
         == stats.retransmits + stats.transport_failures
     )
     # ...and nothing is left in flight.
-    system = grouped.system
+    system = result.system
     assert system._inflight == {}
     assert system._inflight_req == {}
     assert all(a.outstanding_writebacks == 0 for a in system.apps.values())
@@ -86,55 +70,30 @@ def test_grouped_reclaim_survives_every_fault_scenario(scenario):
 # -- chaos unwind: a writeback error inside a grouped batch --------------
 
 
-def _writeback_error_run(grouped):
-    """A write-heavy run whose first swap-out fails straight to an error
-    CQE — with flat-state LRU so grouped reclaim actually engages."""
-    machine = Machine(seed=1)
-    system, app, vma = build_system(machine, flat_state=True)
-    system.config.grouped_reclaim = grouped
-    plan = FaultPlan(
-        FaultConfig(
-            roll_script=(FAULT_ERROR,),
-            transport_retry_limit=0,
-            read_faults=False,
-        ),
-        seed=0,
-    )
-    machine.nic.fault_plan = plan
-    system.fault_plan = plan
-    proc = spawn_app(system, app, [sequential_accesses(vma, 3000, write=True)])
-    run_to_completion(machine.engine, [proc])
-    return machine, system, app
-
-
 def test_grouped_writeback_error_unwinds_like_scalar():
     """The scripted error lands inside a grouped eviction batch; the
-    reissue, ledger, and end state must match the scalar path exactly."""
-    runs = {g: _writeback_error_run(g) for g in (True, False)}
-    for grouped, (machine, system, app) in runs.items():
-        # The error was absorbed: reissued once, then the run completed.
-        assert app.finished_at_us is not None
-        assert app.stats.error_cqes == 1
-        assert app.stats.writeback_retries == 1
-        assert system._inflight == {}
-        assert system._inflight_req == {}
-        assert app.outstanding_writebacks == 0
-        pool = app.pool
-        assert pool.stats.charges - pool.stats.uncharges == pool.used
-    # Bit-identical unwind: same stats, same ledger, same final clock.
-    g_machine, _, g_app = runs[True]
-    s_machine, _, s_app = runs[False]
-    assert dataclasses.asdict(g_app.stats) == dataclasses.asdict(s_app.stats)
-    assert g_app.finished_at_us == s_app.finished_at_us
-    assert g_machine.engine.now == s_machine.engine.now
-    g_nic = dataclasses.asdict(g_machine.nic.stats)
-    s_nic = dataclasses.asdict(s_machine.nic.stats)
-    # ``doorbells`` counts batched submissions — host-cost accounting
-    # that the grouped path is *supposed* to change (and the digest
-    # never includes); everything wire-visible must match exactly.
-    g_nic.pop("doorbells")
-    s_nic.pop("doorbells")
-    assert g_nic == s_nic
+    reissue, ledger, and end state match the recorded run exactly."""
+    machine, system, app = writeback_error_run()
+    # The error was absorbed: reissued once, then the run completed.
+    assert app.finished_at_us is not None
+    assert app.stats.error_cqes == 1
+    assert app.stats.writeback_retries == 1
+    assert system._inflight == {}
+    assert system._inflight_req == {}
+    assert app.outstanding_writebacks == 0
+    pool = app.pool
+    assert pool.stats.charges - pool.stats.uncharges == pool.used
+    # The recorded unwind: one error CQE, one reissue, and every
+    # swap-out written exactly once on the wire.
+    assert app.stats.swapouts == app.stats.kswapd_reclaims == 2361
+    assert app.stats.faults == app.stats.demand_swapins == 2388
+    nic = machine.nic.stats
+    assert nic.completion_errors == nic.transport_failures == 1
+    assert nic.error_cqes_delivered == 1
+    assert nic.retransmits == 0
+    assert nic.writes_completed == nic.swapout_completed == 2361
+    # Every stat, the finish time, and the final clock, bit for bit.
+    assert writeback_error_digest(machine, app) == golden("unwind/writeback-error")
 
 
 # -- per-app counter invariants ------------------------------------------
@@ -143,11 +102,10 @@ def test_grouped_writeback_error_unwinds_like_scalar():
 def test_grouped_reclaim_counters_stay_nonnegative_and_drain():
     """Sample the per-app counters live through a faulted grouped co-run:
     never negative mid-flight, exactly zero once the system drains."""
-    result = _reclaim_run(
+    result = faulted_run(
         "canvas",
-        True,
+        scenario_config("errors"),
         workloads=["memcached", "neo4j"],
-        fault_config=scenario_config("errors"),
     )
     system = result.system
     samples = []

@@ -277,12 +277,13 @@ class _Mirror:
         return a
 
     def select_victim(self):
-        a = self.flat.select_victim()
+        flat = self.flat.select_victims(1)
         b = self.linked.select_victim()
         if b is None:
-            assert a is None
+            assert flat == []
             return None
-        assert a is not None and a.vpn == b.vpn
+        assert len(flat) == 1 and flat[0].vpn == b.vpn
+        a = flat[0]
         self.on_lru.remove(a.vpn)
         return a
 
@@ -398,11 +399,11 @@ def test_generation_lru_victim_queue_revalidates_stale_entries():
     pages = [space.pages[v] for v in vma.vpns()]
     for page in pages:
         lru.insert(page)
-    first = lru.select_victim()  # fills the candidate queue
-    assert first is pages[0]
+    first = lru.select_victims(1)  # fills the candidate queue
+    assert first == [pages[0]]
     lru.note_access(pages[1])  # promote the queue front out from under it
-    victim = lru.select_victim()
-    assert victim is pages[2]
+    victim = lru.select_victims(1)
+    assert victim == [pages[2]]
 
 
 # -- grouped victim selection (PR 8) --------------------------------------
@@ -434,13 +435,14 @@ def _twin_generation_lrus(n_pages, seed):
 
 
 def _serial_select(lru, n, stop=None):
+    """``n`` single-victim selections, one call each."""
     victims = []
     while len(victims) < n:
-        page = lru.select_victim()
-        if page is None:
+        popped = lru.select_victims(1)
+        if not popped:
             break
-        victims.append(page)
-        if stop is not None and stop(page):
+        victims.append(popped[0])
+        if stop is not None and stop(popped[0]):
             break
     return victims
 
@@ -448,7 +450,7 @@ def _serial_select(lru, n, stop=None):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("n", [1, 3, 7, 48])
 def test_select_victims_matches_serial_loop(seed, n):
-    """One batched pass returns the victims a select_victim loop would,
+    """One batched pass returns the victims single-victim calls would,
     and leaves identical flat-array state behind."""
     (space_a, lru_a), (space_b, lru_b) = _twin_generation_lrus(32, seed)
     batched = lru_a.select_victims(n)

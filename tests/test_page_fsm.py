@@ -56,12 +56,12 @@ def test_full_lifecycle(setup):
     def evict():
         # Use the system's real eviction on this specific victim.
         app.lru.discard(page)
-        original = app.lru.select_victim
-        app.lru.select_victim = lambda: page  # pin the victim
+        original = app.lru.select_victims
+        app.lru.select_victims = lambda n, stop=None: [page]  # pin the victim
         try:
-            yield from system._evict_one(app, 0, wait_writeback=True)
+            yield from system._evict_one(app, 0)
         finally:
-            app.lru.select_victim = original
+            app.lru.select_victims = original
 
     drive(machine, evict())
     assert page.state is PageState.COLD_RESERVED
@@ -81,12 +81,12 @@ def test_full_lifecycle(setup):
     # Re-eviction while clean: a free clean drop, same remote cell.
     def evict_again():
         app.lru.discard(page)
-        original = app.lru.select_victim
-        app.lru.select_victim = lambda: page
+        original = app.lru.select_victims
+        app.lru.select_victims = lambda n, stop=None: [page]
         try:
-            yield from system._evict_one(app, 0, wait_writeback=True)
+            yield from system._evict_one(app, 0)
         finally:
-            app.lru.select_victim = original
+            app.lru.select_victims = original
 
     drive(machine, evict_again())
     assert page.state is PageState.COLD_RESERVED
@@ -132,12 +132,12 @@ def test_cold_no_reservation_state(setup):
 
     def evict():
         app.lru.discard(page)
-        original = app.lru.select_victim
-        app.lru.select_victim = lambda: page
+        original = app.lru.select_victims
+        app.lru.select_victims = lambda n, stop=None: [page]
         try:
-            yield from system._evict_one(app, 0, wait_writeback=True)
+            yield from system._evict_one(app, 0)
         finally:
-            app.lru.select_victim = original
+            app.lru.select_victims = original
 
     drive(machine, evict())
     assert page.state is PageState.COLD_NO_RESERVATION
