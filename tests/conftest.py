@@ -10,6 +10,7 @@ per call, which fixtures make awkward.
 
 from repro.core import CanvasSwapSystem
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
+from repro.kernel.swap_system import BaseSwapSystem
 from repro.rdma import RdmaOp, RdmaRequest, RequestKind
 
 __all__ = [
@@ -19,6 +20,7 @@ __all__ = [
     "sequential_accesses",
     "FakeOwner",
     "pooled_request",
+    "record_group_sizes",
 ]
 
 
@@ -113,3 +115,29 @@ def pooled_request(eng, part, owner, kind=RequestKind.DEMAND):
     request.owner = owner
     request.completion.add_callback(request)
     return request
+
+
+def record_group_sizes(monkeypatch):
+    """Record the size of every fault group and every kswapd reclaim batch.
+
+    Wraps ``handle_fault_group`` and ``_evict_many`` for the rest of the
+    test; returns ``{"fault": [members, ...], "reclaim": [evicted, ...]}``,
+    appended as each group or batch finishes.
+    """
+    sizes = {"fault": [], "reclaim": []}
+    group = BaseSwapSystem.handle_fault_group
+    evict_many = BaseSwapSystem._evict_many
+
+    def recording_group(self, app, thread_id, batch, index, pending_cpu):
+        end = yield from group(self, app, thread_id, batch, index, pending_cpu)
+        sizes["fault"].append(end - index)
+        return end
+
+    def recording_evict_many(self, app, core_id, n):
+        evicted = yield from evict_many(self, app, core_id, n)
+        sizes["reclaim"].append(evicted)
+        return evicted
+
+    monkeypatch.setattr(BaseSwapSystem, "handle_fault_group", recording_group)
+    monkeypatch.setattr(BaseSwapSystem, "_evict_many", recording_evict_many)
+    return sizes

@@ -3,10 +3,9 @@
 Usage (from the repository root)::
 
     PYTHONPATH=src python tests/golden/regen.py            # list changes, exit 1 if any
-    PYTHONPATH=src python tests/golden/regen.py -k rack    # only keys containing "rack"
     PYTHONPATH=src python tests/golden/regen.py --regen --reason "why"
 
-Check mode recomputes every selected entry and prints one line per key
+Check mode recomputes every entry and prints one line per key
 that differs from ``digests.json`` (or is missing from it).  ``--regen``
 rewrites the file with the recomputed digests and records ``--reason``;
 regenerate only for a change that is *meant* to move simulated results,
@@ -31,7 +30,6 @@ from tests.golden.matrix import ENTRIES  # noqa: E402
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-k", dest="select", default="", help="substring filter on keys")
     parser.add_argument("--regen", action="store_true", help="rewrite digests.json")
     parser.add_argument("--reason", default="", help="why the digests move (required with --regen)")
     args = parser.parse_args(argv)
@@ -39,11 +37,9 @@ def main(argv=None) -> int:
         parser.error("--regen needs --reason")
 
     old = load_golden()["digests"] if GOLDEN_PATH.exists() else {}
-    new = dict(old)
+    new = {}
     changed = []
     for key, fn in ENTRIES.items():
-        if args.select not in key:
-            continue
         digest = fn()
         new[key] = digest
         if old.get(key) != digest:
@@ -52,16 +48,14 @@ def main(argv=None) -> int:
     stale = sorted(set(old) - set(ENTRIES))
     for key in stale:
         print(f"removed  {key}")
-        new.pop(key)
     if not changed and not stale:
-        print(f"all {sum(args.select in k for k in ENTRIES)} selected entries match")
+        print(f"all {len(ENTRIES)} entries match")
     if args.regen:
-        ordered = {key: new[key] for key in ENTRIES if key in new}
         GOLDEN_PATH.write_text(
-            json.dumps({"reason": args.reason.strip(), "digests": ordered}, indent=2)
+            json.dumps({"reason": args.reason.strip(), "digests": new}, indent=2)
             + "\n"
         )
-        print(f"wrote {GOLDEN_PATH.relative_to(ROOT)} ({len(ordered)} entries)")
+        print(f"wrote {GOLDEN_PATH.relative_to(ROOT)} ({len(new)} entries)")
         return 0
     return 1 if changed or stale else 0
 

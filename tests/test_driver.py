@@ -117,25 +117,17 @@ def test_profiled_run_admits_faults_through_groups(monkeypatch):
     golden digest."""
     from repro.harness.experiment import ExperimentConfig, run_experiment
     from repro.harness.results import result_digest
-    from repro.kernel.swap_system import BaseSwapSystem
     from repro.metrics.profiler import SimProfiler
+    from tests.conftest import record_group_sizes
     from tests.golden import golden
     from tests.golden.matrix import system_key
 
-    group = BaseSwapSystem.handle_fault_group
-    admitted = []
-
-    def counting_group(self, app, thread_id, batch, index, pending_cpu):
-        members = yield from group(self, app, thread_id, batch, index, pending_cpu)
-        admitted.append(members - index)
-        return members
-
-    monkeypatch.setattr(BaseSwapSystem, "handle_fault_group", counting_group)
+    sizes = record_group_sizes(monkeypatch)
     profiler = SimProfiler()
     config = ExperimentConfig(system="canvas", scale=0.03, seed=11)
     result = run_experiment(["memcached"], config, profiler=profiler)
     faults = sum(r.stats.faults for r in result.results.values())
     assert faults > 0
-    assert sum(admitted) == faults
+    assert sum(sizes["fault"]) == faults
     assert profiler.sections.get("fault_path", 0.0) > 0.0
     assert result_digest(result) == golden(system_key("canvas"))

@@ -287,6 +287,19 @@ class _Mirror:
         self.on_lru.remove(a.vpn)
         return a
 
+    def select_victims(self, n):
+        flat = self.flat.select_victims(n)
+        linked = []
+        while len(linked) < n:
+            page = self.linked.select_victim()
+            if page is None:
+                break
+            linked.append(page)
+        assert [p.vpn for p in flat] == [p.vpn for p in linked]
+        for page in flat:
+            self.on_lru.remove(page.vpn)
+        return flat
+
     def check_state(self):
         assert len(self.flat) == len(self.linked)
         assert len(self.flat.active) == len(self.linked.active)
@@ -303,16 +316,15 @@ class _Mirror:
             )
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-@pytest.mark.parametrize("epoch_limit", [1 << 62, 97])
-def test_generation_lru_matches_linked_on_random_ops(seed, epoch_limit):
-    """Property test: identical victims, orders, and demote counts on a
-    seeded random op mix — with and without epoch renormalization."""
+def _random_ops_match(seed, n_pages, epoch_limit, n_ops, max_batch=1):
+    """Drive both structures through one seeded random op mix, starting
+    half full; victims are drawn up to ``max_batch`` at a time on the flat
+    side against as many single pops on the linked side."""
     rng = random.Random(seed)
-    mirror = _Mirror(48, epoch_limit=epoch_limit)
-    for vpn in mirror.vpns[:24]:
+    mirror = _Mirror(n_pages, epoch_limit=epoch_limit)
+    for vpn in mirror.vpns[: n_pages // 2]:
         mirror.insert(vpn)
-    for _ in range(600):
+    for _ in range(n_ops):
         roll = rng.random()
         if roll < 0.35 and mirror.on_lru:
             mirror.note_access(rng.choice(mirror.on_lru))
@@ -326,6 +338,8 @@ def test_generation_lru_matches_linked_on_random_ops(seed, epoch_limit):
             mirror.remove(rng.choice(mirror.on_lru))
         elif roll < 0.80:
             mirror.balance(rng.choice([0.25, 0.5, 0.75]))
+        elif max_batch > 1:
+            mirror.select_victims(rng.randint(1, max_batch))
         else:
             mirror.select_victim()
     mirror.check_state()
@@ -333,8 +347,52 @@ def test_generation_lru_matches_linked_on_random_ops(seed, epoch_limit):
     while mirror.select_victim() is not None:
         pass
     assert len(mirror.flat) == 0
+    return mirror
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("epoch_limit", [1 << 62, 97])
+def test_generation_lru_matches_linked_on_random_ops(seed, epoch_limit):
+    """Property test: identical victims, orders, and demote counts on a
+    seeded random op mix — with and without epoch renormalization."""
+    mirror = _random_ops_match(seed, 48, epoch_limit, n_ops=600)
     if epoch_limit == 97:
         assert mirror.flat.epochs > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("epoch_limit", [1 << 62, 1009])
+def test_generation_lru_matches_linked_on_a_large_space(seed, epoch_limit):
+    """The same property on a space whose victim-queue remainders exceed
+    ``DRAIN_GATHER_MIN``, with multi-victim draws: this reaches the
+    vectorized drain, its batched second-chance rotations, and — with
+    the small epoch limit — rotations that renormalize mid-drain and
+    force a queue rebuild."""
+    mirror = _random_ops_match(seed, 256, epoch_limit, n_ops=2000, max_batch=8)
+    if epoch_limit == 1009:
+        assert mirror.flat.epochs > 0
+
+
+@pytest.mark.parametrize("epoch_limit", [1 << 62, 300])
+def test_generation_lru_all_referenced_drain_matches_linked(epoch_limit):
+    """A full inactive list with every page referenced: the first draw
+    rotates the whole queue before it finds a victim.  With no epoch
+    edge in reach that is the vectorized all-referenced rotation; with
+    the edge 44 stamps away a rotation renormalizes mid-drain and the
+    queue is rebuilt inside the same draw.  Victims and end state match
+    the linked structure's full rotation either way."""
+    mirror = _Mirror(256, epoch_limit=epoch_limit)
+    for vpn in mirror.vpns:
+        mirror.insert(vpn)
+    for vpn in mirror.vpns:
+        mirror.set_referenced(vpn)
+    epochs = mirror.flat.epochs
+    mirror.select_victims(8)
+    assert (mirror.flat.epochs > epochs) == (epoch_limit == 300)
+    mirror.check_state()
+    while mirror.select_victims(16):
+        pass
+    assert len(mirror.flat) == 0
 
 
 def test_generation_lru_epoch_rollover_preserves_order():
