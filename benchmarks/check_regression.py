@@ -12,8 +12,8 @@ numbers — higher is better) against ``benchmarks/perf_baseline.json``
 and exits non-zero when a current value falls below
 ``baseline * (1 - tolerance)``.
 
-Tolerances live in the baseline file per metric: ratio metrics such as
-``batched_speedup`` are machine-independent and use a tight bound,
+Tolerances live in the baseline file per metric: ratio metrics
+(``*_speedup``) are machine-independent and use a tight bound,
 absolute rates (steps/s, accesses/s, faults/s) vary with runner
 hardware and get a loose one.  ``REPRO_PERF_TOLERANCE_SCALE`` multiplies
 every tolerance (e.g. ``2.0`` on a known-slow runner); ``--update``

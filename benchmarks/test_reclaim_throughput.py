@@ -129,7 +129,6 @@ def _build_drain(tracer=False):
     app = AppContext(
         machine.engine,
         CgroupConfig(name="app", n_cores=4, local_memory_pages=DRAIN_PAGES),
-        flat_state=True,
     )
     vma = app.space.map_region(DRAIN_PAGES, name="heap")
     system.register_app(app)

@@ -4,7 +4,8 @@
 The library's workload interface is two methods: ``build`` maps regions
 into the app's address space (and describes the heap to the runtime
 model), ``thread_streams`` yields one ``(vpn, is_write, cpu_us)`` stream
-per thread.  This example builds a "log-structured store": writers
+per thread; ``thread_batch_streams`` chunks those into the batches the
+driver consumes.  This example builds a "log-structured store": writers
 append to a sequential log while readers look up zipf-popular keys —
 and shows how Canvas's per-application prefetcher handles the mix.
 
@@ -90,7 +91,9 @@ def main() -> None:
     system.attach_runtime_handler(app)
     system.prepopulate(app, resident_fraction=0.2)
 
-    streams = workload.thread_streams(app, machine.rng.child("logstore").stream("s"))
+    streams = workload.thread_batch_streams(
+        app, machine.rng.child("logstore").stream("s")
+    )
     run_to_completion(machine.engine, [spawn_app(system, app, streams)])
 
     stats = app.stats

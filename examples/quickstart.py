@@ -46,7 +46,9 @@ def main() -> None:
     system.prepopulate(app, resident_fraction=0.2)
 
     # Spawn one simulated thread per workload thread and run.
-    streams = workload.thread_streams(app, machine.rng.child("memcached").stream("s"))
+    streams = workload.thread_batch_streams(
+        app, machine.rng.child("memcached").stream("s")
+    )
     process = spawn_app(system, app, streams)
     run_to_completion(machine.engine, [process])
 

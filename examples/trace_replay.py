@@ -63,7 +63,9 @@ def main() -> None:
     machine = Machine(seed=5)
     system, app = build_app(machine, workload, canvas=False)
     tracer = FaultTracer(system)
-    streams = workload.thread_streams(app, machine.rng.child("xgboost").stream("s"))
+    streams = workload.thread_batch_streams(
+        app, machine.rng.child("xgboost").stream("s")
+    )
     run_to_completion(machine.engine, [spawn_app(system, app, streams)])
     linux_time = app.completion_time_us
 

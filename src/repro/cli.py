@@ -93,12 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(profile_cmd)
     profile_cmd.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="profile the scalar (unbatched) stream protocol instead of "
-        "the batched fast path",
-    )
-    profile_cmd.add_argument(
         "--flush-us",
         type=float,
         default=None,
@@ -345,13 +339,11 @@ def _cmd_profile(args) -> int:
     from repro.metrics.profiler import SimProfiler
 
     config = _config(args)
-    config.batched_streams = not args.no_batch
     if args.flush_us is not None:
         config.cpu_flush_us = args.flush_us
     profiler = SimProfiler()
     result = run_experiment(args.apps, config, profiler=profiler)
-    mode = "scalar" if args.no_batch else "batched"
-    print(f"profile: {args.system} / {', '.join(args.apps)} ({mode} streams)")
+    print(f"profile: {args.system} / {', '.join(args.apps)}")
     print(profiler.format())
     rows = [
         [name, result.completion_time(name) / 1000, result.results[name].stats.faults]

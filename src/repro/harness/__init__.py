@@ -10,7 +10,7 @@ from repro.harness.cache import (
     job_key,
     source_fingerprint,
 )
-from repro.harness.driver import app_thread, run_to_completion, spawn_app
+from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.experiment import (
     AppResult,
     ExperimentConfig,
@@ -28,7 +28,6 @@ from repro.harness.results import result_digest
 from repro.harness.trace import FaultRecord, FaultTracer, load_trace, replay_streams
 
 __all__ = [
-    "app_thread",
     "run_to_completion",
     "spawn_app",
     "AppResult",

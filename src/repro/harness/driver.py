@@ -8,23 +8,17 @@ Faulting threads release their core while blocked on I/O — the simulated
 equivalent of the kernel scheduling another runnable thread during a
 swap-in.
 
-Two drivers share the same semantics:
-
-* :func:`app_thread` — scalar protocol, one generator round-trip per
-  access (compatibility path, ``ExperimentConfig.batched_streams=False``);
-* :func:`app_thread_batched` — consumes
-  :class:`~repro.workloads.batch.AccessBatch` chunks through
-  ``BaseSwapSystem.consume_batch``, which classifies and retires whole
-  runs of resident accesses per call, and admits each run of misses
-  through ``BaseSwapSystem.handle_fault_group``.  Yield sequences (and
-  therefore all simulated timestamps and statistics) are bit-identical
-  between the two.
+Each thread consumes :class:`~repro.workloads.batch.AccessBatch` chunks
+through ``BaseSwapSystem.consume_batch``, which classifies and retires
+whole runs of resident accesses per call, and admits each run of misses
+through ``BaseSwapSystem.handle_fault_group``.  Simulated results do not
+depend on where a stream's batch boundaries fall.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Generator, Iterable, Iterator, Tuple
+from typing import Generator, Iterable, Iterator
 
 from repro.kernel.cgroup import AppContext
 from repro.kernel.swap_system import (
@@ -33,58 +27,10 @@ from repro.kernel.swap_system import (
     BaseSwapSystem,
 )
 
-__all__ = ["Access", "app_thread", "app_thread_batched", "spawn_app"]
-
-#: (vpn, is_write, cpu_us) — one memory access and its attached compute.
-Access = Tuple[int, bool, float]
+__all__ = ["drive_thread", "run_to_completion", "spawn_app"]
 
 
-def app_thread(
-    system: BaseSwapSystem,
-    app: AppContext,
-    thread_id: int,
-    accesses: Iterable[Access],
-    cpu_flush_us: float = 25.0,
-    profiler=None,
-) -> Generator:
-    """Run one application thread's access stream to completion.
-
-    Resident-page accesses accumulate their CPU cost and flush it to the
-    app's core set in ``cpu_flush_us`` slices, keeping the event count per
-    access O(1/batch) instead of O(1).
-    """
-    pending_cpu = 0.0
-    pages = app.space.pages
-    stats = app.stats
-    # Bound methods hoisted out of the loop: this is the single hottest
-    # Python loop in the unbatched simulator (one iteration per access).
-    note_access = system.note_access
-    handle_fault = system.handle_fault
-    execute = app.cores.execute
-    if profiler is not None:
-        accesses = profiler.timed_iter("stream_gen", iter(accesses))
-        handle_fault = profiler.timed_generator_fn("fault_path", handle_fault)
-    for vpn, write, cpu_us in accesses:
-        stats.accesses += 1
-        pending_cpu += cpu_us
-        page = pages[vpn]
-        if page.resident:
-            note_access(app, page, write)
-            if pending_cpu >= cpu_flush_us:
-                yield from execute(pending_cpu)
-                pending_cpu = 0.0
-        else:
-            if pending_cpu > 0.0:
-                yield from execute(pending_cpu)
-                pending_cpu = 0.0
-            yield from handle_fault(app, thread_id, vpn, write)
-            if write:
-                page.dirty = True
-    if pending_cpu > 0.0:
-        yield from execute(pending_cpu)
-
-
-def app_thread_batched(
+def drive_thread(
     system: BaseSwapSystem,
     app: AppContext,
     thread_id: int,
@@ -92,15 +38,17 @@ def app_thread_batched(
     cpu_flush_us: float = 25.0,
     profiler=None,
 ) -> Generator:
-    """Batched twin of :func:`app_thread`.
+    """Run one application thread's batched access stream to completion.
 
     ``consume_batch`` retires runs of resident accesses in one call; the
     driver only surfaces at flush boundaries, fault groups, and batch
-    ends — performing exactly the yields the scalar driver would.  Every
-    fault is admitted through ``handle_fault_group``, which resolves the
-    whole run of consecutive non-resident accesses and returns the first
-    index it did not consume.  A profiler, when attached, times the
-    consume core and the fault groups without changing either.
+    ends.  Resident accesses accumulate their CPU cost and flush it to
+    the app's core set in ``cpu_flush_us`` slices, keeping the event
+    count per access O(1/batch) instead of O(1).  Every fault is
+    admitted through ``handle_fault_group``, which resolves the whole
+    run of consecutive non-resident accesses and returns the first index
+    it did not consume.  A profiler, when attached, times the consume
+    core and the fault groups without changing either.
     """
     pending_cpu = 0.0
     consume = system.consume_batch
@@ -145,24 +93,23 @@ def spawn_app(
     app: AppContext,
     thread_streams: Iterable[Iterator],
     cpu_flush_us: float = 25.0,
-    batched: bool = False,
     profiler=None,
 ):
     """Spawn one process per thread stream; returns the joined process.
 
-    ``batched=True`` treats each stream as AccessBatch chunks and drives
-    it through :func:`app_thread_batched`.  Marks ``app.started_at_us`` /
-    ``app.finished_at_us`` around the whole application, which is what
-    the completion-time figures report.
+    Each stream yields :class:`~repro.workloads.batch.AccessBatch` chunks
+    (wrap a scalar ``(vpn, is_write, cpu_us)`` stream with
+    :func:`~repro.workloads.batch.chunk_stream`).  Marks
+    ``app.started_at_us`` / ``app.finished_at_us`` around the whole
+    application, which is what the completion-time figures report.
     """
     engine = system.engine
-    thread_fn = app_thread_batched if batched else app_thread
 
     def run_all():
         app.started_at_us = engine.now
         threads = [
             engine.spawn(
-                thread_fn(system, app, thread_id, stream, cpu_flush_us, profiler),
+                drive_thread(system, app, thread_id, stream, cpu_flush_us, profiler),
                 name=f"{app.name}.t{thread_id}",
             )
             for thread_id, stream in enumerate(thread_streams)

@@ -40,6 +40,7 @@ from repro.prefetch.leap import LeapPrefetcher
 from repro.prefetch.readahead import KernelReadahead
 from repro.swap.allocator import FreeListAllocator, Linux514Allocator
 from repro.workloads.base import Workload
+from repro.workloads.batch import emit_batches
 from repro.workloads.registry import make_workload
 from repro.workloads.traffic import TrafficConfig, TrafficSession, make_traffic_plan
 
@@ -78,14 +79,9 @@ class ExperimentConfig:
     partition_headroom: float = 0.25
     #: Baseline prefetcher: "readahead", "leap", or "none".
     prefetcher: str = "readahead"
-    #: Drive threads with batched access streams (the resident fast
-    #: path).  ``False`` keeps the scalar one-tuple-per-access protocol;
-    #: results are bit-identical either way.
-    batched_streams: bool = True
     #: Accumulated CPU is charged to the simulated core once it reaches
     #: this many microseconds (timing granularity of CPU bursts between
-    #: faults).  Both stream protocols honour the same threshold, so it
-    #: never affects batched-vs-unbatched equivalence.
+    #: faults).
     cpu_flush_us: float = 25.0
     #: Swap cache budget as a fraction of local memory (per app under
     #: Canvas; summed for the shared baseline cache).
@@ -395,11 +391,7 @@ def run_experiment(
                 workload.name, float(remote_pages)
             ),
         )
-        # Batched runs age pages with the flat generation-stamp LRU
-        # (enabling the vectorized resident path); scalar runs keep the
-        # linked lists.  The batched-vs-scalar digest guard therefore
-        # doubles as an end-to-end LRU-equivalence check.
-        app = AppContext(machine.engine, cgroup, flat_state=config.batched_streams)
+        app = AppContext(machine.engine, cgroup)
         build_rng = machine.rng.child(workload.name).stream("build")
         workload.build(app, build_rng)
         system.register_app(app)
@@ -410,17 +402,13 @@ def run_experiment(
         )
         system.prepopulate(app, resident_fraction)
         stream_rng = machine.rng.child(workload.name).stream("streams")
-        if config.batched_streams:
-            streams = workload.thread_batch_streams(app, stream_rng)
-        else:
-            streams = workload.thread_streams(app, stream_rng)
+        streams = workload.thread_batch_streams(app, stream_rng)
         processes.append(
             spawn_app(
                 system,
                 app,
                 streams,
                 cpu_flush_us=config.cpu_flush_us,
-                batched=config.batched_streams,
                 profiler=profiler,
             )
         )
@@ -511,17 +499,10 @@ class ChurnResult:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _session_stream(plan, session: TrafficSession, vma, batched: bool, cpu_us: float):
-    """One session's access stream (batched or scalar), VMA-offset."""
+def _session_stream(plan, session: TrafficSession, vma, cpu_us: float):
+    """One session's batched access stream, VMA-offset."""
     vpns, writes = plan.session_accesses(session)
-    vpns = vpns + vma.start_vpn
-    if batched:
-        from repro.workloads.batch import emit_batches
-
-        return emit_batches(vpns, writes, cpu_us)
-    return iter(
-        [(int(vpn), bool(write), cpu_us) for vpn, write in zip(vpns, writes)]
-    )
+    return emit_batches(vpns + vma.start_vpn, writes, cpu_us)
 
 
 def run_churn(config: ExperimentConfig) -> ChurnResult:
@@ -610,7 +591,7 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
             ),
             rdma_weight=float(remote_pages),
         )
-        app = AppContext(engine, cgroup, flat_state=config.batched_streams)
+        app = AppContext(engine, cgroup)
         vma = app.space.map_region(session.working_set_pages, name="heap")
         system.register_app(app)
         apps[session.name] = app
@@ -622,20 +603,8 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
             1.0,
         )
         system.prepopulate(app, resident_fraction)
-        stream = _session_stream(
-            plan,
-            session,
-            vma,
-            config.batched_streams,
-            traffic.cpu_us_per_access,
-        )
-        proc = spawn_app(
-            system,
-            app,
-            [stream],
-            cpu_flush_us=config.cpu_flush_us,
-            batched=config.batched_streams,
-        )
+        stream = _session_stream(plan, session, vma, traffic.cpu_us_per_access)
+        proc = spawn_app(system, app, [stream], cpu_flush_us=config.cpu_flush_us)
         yield proc
         yield from system.unregister_app(app)
 

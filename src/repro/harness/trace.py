@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.kernel.swap_system import BaseSwapSystem
+from repro.workloads.batch import AccessBatch, chunk_stream
 
 __all__ = ["FaultRecord", "FaultTracer", "load_trace", "replay_streams"]
 
@@ -79,8 +80,8 @@ def load_trace(path) -> List[FaultRecord]:
 
 def replay_streams(
     records: List[FaultRecord], write: bool = False
-) -> List[Iterator[Tuple[int, bool, float]]]:
-    """Turn a recorded trace back into per-thread access streams.
+) -> List[Iterator[AccessBatch]]:
+    """Turn a recorded trace back into per-thread batched access streams.
 
     Each recorded fault becomes one access; the gap between consecutive
     faults of the same thread (minus the recorded stall) becomes that
@@ -99,4 +100,4 @@ def replay_streams(
             previous_end = record.time_us + record.stall_us
             yield (record.vpn, write, compute)
 
-    return [make_stream(chunk) for chunk in per_thread.values()]
+    return [chunk_stream(make_stream(chunk)) for chunk in per_thread.values()]

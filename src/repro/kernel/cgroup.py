@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.mem.address_space import AddressSpace
 from repro.mem.frame_pool import FramePool
-from repro.mem.lru import ActiveInactiveLRU, GenerationLRU
+from repro.mem.lru import GenerationLRU
 from repro.sim.engine import Engine
 from repro.sim.resources import CoreSet
 
@@ -116,20 +116,16 @@ class AppSwapStats:
 class AppContext:
     """Everything the kernel tracks for one running application."""
 
-    def __init__(self, engine: Engine, config: CgroupConfig, flat_state: bool = False):
+    def __init__(self, engine: Engine, config: CgroupConfig):
         self.engine = engine
         self.config = config
         self.name = config.name
         self.space = AddressSpace(config.name)
         self.cores = CoreSet(engine, config.n_cores, name=f"{config.name}.cores")
         self.pool = FramePool(config.local_memory_pages, name=f"{config.name}.frames")
-        #: Flat-state apps age pages with generation stamps over the
-        #: space's VPN-indexed arrays (enables the vectorized resident
-        #: fast path); the default keeps the linked active/inactive lists.
-        if flat_state:
-            self.lru = GenerationLRU(self.space, name=config.name)
-        else:
-            self.lru = ActiveInactiveLRU(name=config.name)
+        #: Pages age with generation stamps over the space's VPN-indexed
+        #: arrays, which the vectorized consume core scatters into.
+        self.lru = GenerationLRU(self.space, name=config.name)
         self.stats = AppSwapStats()
         #: Set by the harness when the workload finishes; the app's
         #: completion time is the headline metric in Figs. 2, 9-12.

@@ -23,7 +23,6 @@ completes and drops the page.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, Generator, List, Optional
@@ -405,8 +404,14 @@ class BaseSwapSystem:
         """Install the initial memory layout: the first ``resident_fraction``
         of each app's pages are local; the rest start swapped out with
         entries already holding their data (setup costs no simulated time).
+
+        Shared pages whose flag home is another space keep that owner's
+        layout: the owner already charged them or gave them an entry.
         """
-        pages = [app.space.pages[vpn] for vpn in sorted(app.space.pages)]
+        space = app.space
+        pages = [space.pages[vpn] for vpn in sorted(space.pages)]
+        if space.has_foreign_pages:
+            pages = [page for page in pages if page.flag_space is space]
         n_resident = int(len(pages) * resident_fraction)
         n_resident = min(n_resident, app.pool.capacity_pages)
         for index, page in enumerate(pages):
@@ -525,14 +530,6 @@ class BaseSwapSystem:
     # Access fast path
     # ------------------------------------------------------------------
 
-    def access_is_fast(self, app: AppContext, page: Page) -> bool:
-        """True when the access needs no fault handling at all."""
-        return page.resident
-
-    def note_access(self, app: AppContext, page: Page, write: bool) -> None:
-        page.touch(self.engine.now, write)
-        app.lru.note_access(page)
-
     def consume_batch(
         self,
         app: AppContext,
@@ -546,55 +543,32 @@ class BaseSwapSystem:
 
         Returns ``(next_index, pending_cpu, outcome)``.  The engine is
         frozen between the driver's yields, so every access in the run
-        sees the same simulated instant; the consume core performs
-        exactly the per-access side effects the scalar path would
-        (access counting, referenced/dirty bits, access timestamps, LRU
-        promotion) without a generator round-trip per access, and its
-        CPU accumulation is bit-identical to left-to-right Python float
-        adds.
+        sees the same simulated instant; the run's per-access side
+        effects (access counting, referenced/dirty bits, access
+        timestamps, LRU promotion) land without a generator round-trip
+        per access.
 
         * ``BATCH_FLUSH``: the access at ``next_index - 1`` pushed
           ``pending_cpu`` past ``flush_us``; the caller must execute it.
         * ``BATCH_FAULT``: the access at ``next_index`` is not resident.
-          It is already counted and its CPU is in ``pending_cpu`` (the
-          scalar path flushes the faulting access's CPU before the fault);
-          the caller runs ``handle_fault`` for it.
+          It is already counted and its CPU is in ``pending_cpu`` (its
+          CPU is flushed before the fault); the caller admits the fault
+          group starting there.
         * ``BATCH_END``: the batch is exhausted.
 
-        Apps on the generation-stamp LRU (``lru.flat``) whose flag
-        arrays cover every mapped page take the vectorized core —
-        classification, CPU accumulation, and run side effects as a
-        handful of numpy ops; everything else takes the per-page scan.
+        One residency gather classifies the whole tail, and
+        ``np.add.accumulate`` reproduces left-to-right float adds
+        bit-for-bit (accumulate does not use pairwise summation), so
+        ``pending_cpu`` and the flush crossing do not depend on where
+        batch boundaries fall.  Run side effects are three scatters plus
+        one stamped LRU bulk-promote.  A space with shared mappings
+        (``has_foreign_pages``) applies them per page instead: a foreign
+        page's flags live in its home space's arrays, and the LRU
+        promote skips pages this app's LRU does not hold.
 
         With a ``profiler`` attached, classification/clock advance and
         LRU/page maintenance are timed into its ``fast_path`` and ``lru``
         sections; returns and side effects are unchanged.
-        """
-        if app.lru.flat and not app.space.has_foreign_pages:
-            return self._consume_batch_flat(
-                app, batch, start, pending_cpu, flush_us, profiler
-            )
-        return self._consume_batch_scan(
-            app, batch, start, pending_cpu, flush_us, profiler
-        )
-
-    def _consume_batch_flat(
-        self,
-        app: AppContext,
-        batch,
-        start: int,
-        pending_cpu: float,
-        flush_us: float,
-        profiler,
-    ):
-        """Vectorized consume core over the space's flat VPN-indexed arrays.
-
-        One residency gather classifies the whole tail; ``np.add.accumulate``
-        reproduces the scalar path's left-to-right float adds bit-for-bit
-        (verified: binary summation is not used for accumulate), so
-        ``pending_cpu``, the flush crossing, and the fault/flush tie-break
-        all match the per-page scan exactly.  Run side effects are three
-        scatters plus one stamped LRU bulk-promote.
         """
         if profiler is not None:
             t0 = perf_counter()
@@ -642,8 +616,8 @@ class BaseSwapSystem:
         acc = np.add.accumulate(seq)
         ge = acc[1:] >= flush_us
         flush_rel = int(ge.argmax()) if ge.any() else -1
-        # Tie-break parity with the scalar scan: the faulting access wins
-        # when it sits at or before the flush crossing.
+        # The faulting access wins when it sits at or before the flush
+        # crossing.
         if fault_rel >= 0 and (flush_rel < 0 or fault_rel <= flush_rel):
             run_len = fault_rel
             end = start + fault_rel
@@ -667,139 +641,30 @@ class BaseSwapSystem:
         # timestamp scatters, bulk LRU promote (duplicate VPNs resolve
         # last-write-wins, matching sequential per-access stamping), and
         # dirty bits for the run's write positions.  The faulting access,
-        # if any, sits at ``end`` and is dirtied by the driver after the
-        # fault resolves.
+        # if any, sits at ``end`` and is dirtied after the fault resolves.
         if run_len:
             rv = v[:run_len]
-            space.referenced_bits[rv] = True
-            space.last_access_arr[rv] = self.engine.now
-            app.lru.note_access_run(rv)
             wp = batch.write_pos_array
+            lo = hi = 0
             if len(wp):
                 lo = int(np.searchsorted(wp, start, side="left"))
                 hi = int(np.searchsorted(wp, end, side="left"))
+            if space.has_foreign_pages:
+                now = self.engine.now
+                page_map = space.page_map
+                for vpn in rv.tolist():
+                    page_map[vpn].touch(now)
+                for vpn in varr[wp[lo:hi]].tolist():
+                    page_map[vpn].dirty = True
+            else:
+                space.referenced_bits[rv] = True
+                space.last_access_arr[rv] = self.engine.now
                 if hi > lo:
                     space.dirty_bits[varr[wp[lo:hi]]] = True
+            app.lru.note_access_run(rv)
         app.stats.accesses += run_len + (1 if outcome == BATCH_FAULT else 0)
         if tr is not None:
             tr.emit(BATCH_EXIT, app.name, 0, run_len, outcome)
-        if profiler is not None:
-            profiler.add("lru", perf_counter() - t1)
-        return end, pending_cpu, outcome
-
-    def _consume_batch_scan(
-        self,
-        app: AppContext,
-        batch,
-        start: int,
-        pending_cpu: float,
-        flush_us: float,
-        profiler,
-    ):
-        """Per-page consume core: classification pass, then side effects.
-
-        Serves linked-LRU apps and flat apps with foreign pages (shared
-        mappings whose flag home is another space).  The classification
-        pass uses the exact float-add sequence the one-pass scalar loop
-        would, so ``pending_cpu`` stays bit-identical; the side-effect
-        pass applies the same per-page updates afterwards (ordering
-        between the passes is immaterial — residency is frozen within a
-        consume call and flags never feed back into classification).
-        """
-        if profiler is not None:
-            t0 = perf_counter()
-        vpn_list = batch.vpn_list
-        # resident_map holds the page object (or None): classification
-        # and page fetch are one flat list index.
-        resident = app.space.resident_map
-        n = len(vpn_list)
-        end = n
-        outcome = BATCH_END
-        cpu = batch.constant_cpu
-        if cpu is not None:
-            # Uniform per-access cost (the common case).  The flush
-            # crossing depends only on (pending_cpu, cpu, flush_us), so
-            # it is found up front with bare sequential float adds —
-            # bit-identical to accumulating inside the loop.
-            steps = 0
-            remaining = n - start
-            tmp = pending_cpu
-            while steps < remaining:
-                tmp += cpu
-                steps += 1
-                if tmp >= flush_us:
-                    end = start + steps
-                    outcome = BATCH_FLUSH
-                    break
-            fault_vpn = -1
-            for vpn in vpn_list[start : start + steps]:
-                if resident[vpn] is None:
-                    fault_vpn = vpn
-                    break
-            if fault_vpn < 0:
-                pending_cpu = tmp
-            else:
-                # Residency is frozen within a consume call, so the
-                # faulting access is the first occurrence of its VPN at
-                # or after ``start``.  Replay the adds up to and
-                # including it so pending_cpu keeps the scalar path's
-                # exact accumulation sequence.
-                end = vpn_list.index(fault_vpn, start)
-                outcome = BATCH_FAULT
-                for _ in range(end - start + 1):
-                    pending_cpu += cpu
-        else:
-            cpu_list = batch.cpu_list
-            for i in range(start, n):
-                if resident[vpn_list[i]] is None:
-                    pending_cpu += cpu_list[i]
-                    end = i
-                    outcome = BATCH_FAULT
-                    break
-                pending_cpu += cpu_list[i]
-                if pending_cpu >= flush_us:
-                    end = i + 1
-                    outcome = BATCH_FLUSH
-                    break
-        if profiler is not None:
-            t1 = perf_counter()
-            profiler.add("fast_path", t1 - t0)
-        # Side effects for the resident run [start, end).
-        now = self.engine.now
-        lru = app.lru
-        note = lru.note_access
-        if lru.flat:
-            for vpn in vpn_list[start:end]:
-                page = resident[vpn]
-                page.referenced = True
-                page.last_access_us = now
-                note(page)
-        else:
-            # The common linked-LRU case (page already active: refresh
-            # its position) is inlined as a single dict pop + re-insert;
-            # only the rare inactive->active promotion pays for the
-            # note_access call.
-            active = lru.active._pages
-            active_pop = active.pop
-            for vpn in vpn_list[start:end]:
-                page = resident[vpn]
-                page.referenced = True
-                page.last_access_us = now
-                try:
-                    active[page] = active_pop(page)
-                except KeyError:
-                    note(page)
-        # Dirty bits for the consumed resident run, applied from the
-        # batch's precomputed write positions instead of a per-access
-        # check (the faulting access, if any, sits at ``end`` and is
-        # dirtied by the driver after the fault resolves).
-        writes = batch.write_positions
-        if writes:
-            for k in writes[bisect_left(writes, start):]:
-                if k >= end:
-                    break
-                resident[vpn_list[k]].dirty = True
-        app.stats.accesses += end - start + (1 if outcome == BATCH_FAULT else 0)
         if profiler is not None:
             profiler.add("lru", perf_counter() - t1)
         return end, pending_cpu, outcome
@@ -813,9 +678,8 @@ class BaseSwapSystem:
     ) -> Generator:
         """The §2 fault path.  Yields until the page is mapped.
 
-        The one resolution loop: the batched driver reaches it through
-        :meth:`handle_fault_group`, the scalar driver and direct callers
-        call it per fault.
+        The one resolution loop: the driver reaches it through
+        :meth:`handle_fault_group`; direct callers call it per fault.
         """
         engine = self.engine
         stats = app.stats
@@ -973,7 +837,7 @@ class BaseSwapSystem:
     ) -> Generator:
         """Admit a run of consecutive non-resident accesses as one group.
 
-        Called by the batched driver when ``consume_batch`` truncates at
+        Called by the driver when ``consume_batch`` truncates at
         ``batch[index]``.  Members resolve strictly one after another
         through :meth:`handle_fault`, each preceded by the CPU flush the
         driver would perform (consume → flush → fault, per member), so

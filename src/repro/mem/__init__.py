@@ -2,7 +2,7 @@
 
 from repro.mem.address_space import VMA, AddressSpace
 from repro.mem.frame_pool import FramePool, FramePoolStats
-from repro.mem.lru import ActiveInactiveLRU, GenerationLRU, LRUList
+from repro.mem.lru import GenerationLRU
 from repro.mem.page import PAGE_SHIFT, PAGE_SIZE, Page, PageState
 
 __all__ = [
@@ -10,9 +10,7 @@ __all__ = [
     "AddressSpace",
     "FramePool",
     "FramePoolStats",
-    "ActiveInactiveLRU",
     "GenerationLRU",
-    "LRUList",
     "PAGE_SHIFT",
     "PAGE_SIZE",
     "Page",

@@ -8,10 +8,10 @@ prefetching policy" in §6's Linux tuning), and shared VMAs force pages onto
 the global swap path (§4, Handling of Shared Pages).
 
 Flat kernel state: alongside the ``resident_map`` object array (VPN →
-Page-or-None, the scalar consume path's classifier), each space keeps
+Page-or-None, the fault group's membership check), each space keeps
 VPN-indexed numpy arrays — a residency bitmap, dirty/referenced
 bitvectors, last-access timestamps, and LRU generation stamps with an
-active/inactive classification byte.  The batched resident fast path
+active/inactive classification byte.  The consume core
 (``BaseSwapSystem.consume_batch``) gathers and scatters these arrays for
 whole runs of accesses; scalar ``Page`` accessors address the same
 storage element-wise.  Guard/unmapped slots simply stay at their zero
@@ -76,9 +76,9 @@ class AddressSpace:
         self.pages: Dict[int, Page] = {}
         #: Residency indexed by raw VPN: ``resident_map[vpn]`` is the
         #: page object when ``pages[vpn].resident`` and None otherwise
-        #: (kept in sync by the Page setter).  The scalar consume path
-        #: classifies an access *and* fetches its page with one flat
-        #: list index.  Unmapped/guard slots stay None.
+        #: (kept in sync by the Page setter).  The fault group checks a
+        #: member's residency with one flat list index.  Unmapped/guard
+        #: slots stay None.
         self.resident_map: List[Optional[Page]] = []
         #: Every attached page indexed by raw VPN (resident or not): the
         #: flat companion to ``resident_map`` that the fault slow path
@@ -102,9 +102,9 @@ class AddressSpace:
         #: scan at stats-collection time.
         self._resident_count = 0
         #: True once this space maps pages whose flag home is another
-        #: space (``map_shared_from``): the vectorized consume path must
-        #: not scatter into *this* space's flag arrays then, so consumers
-        #: fall back to the per-page object path.
+        #: space (``map_shared_from``): the consume core must not scatter
+        #: into *this* space's flag arrays then, so it applies a run's
+        #: side effects per page, and reclaim drains per entry.
         self.has_foreign_pages = False
         self._next_vpn = 0x1000  # skip the NULL guard area
 
@@ -156,12 +156,18 @@ class AddressSpace:
         The pages' mapcount is incremented, which routes them onto the
         global swap partition (§4).  The shared pages keep their flag
         home in ``other``, so this space's flag arrays no longer cover
-        every mapped page — ``has_foreign_pages`` routes its consumers
-        onto the per-page path.
+        every mapped page — ``has_foreign_pages`` tells its consumers.
+        The mirror keeps the owner's VPNs, so it may not overlap a
+        region already mapped here, and later regions are laid out past
+        it.
         """
+        for own in self.vmas:
+            if own.start_vpn < vma.end_vpn and vma.start_vpn < own.end_vpn:
+                raise ValueError(f"{self.name}: {vma!r} overlaps mapped {own!r}")
         mirror = VMA(vma.start_vpn, vma.n_pages, name=name or vma.name, shared=True)
         vma.shared = True
         self.vmas.append(mirror)
+        self._next_vpn = max(self._next_vpn, mirror.end_vpn + self.GUARD_PAGES)
         self._grow_resident_map(vma.end_vpn)
         self.has_foreign_pages = True
         page_map = self.page_map

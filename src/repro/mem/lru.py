@@ -1,208 +1,32 @@
-"""LRU page lists, mirroring the kernel's active/inactive split.
+"""Per-cgroup page aging, mirroring the kernel's active/inactive split.
 
 The kernel keeps two lists per memory cgroup.  Newly faulted pages enter
 the inactive list; a referenced inactive page is promoted to the active
 list; reclaim shrinks the inactive tail and demotes active pages when the
 inactive list runs short.  Canvas's hot-page detector (§5.1) periodically
-scans the *head* of the active list, so :class:`LRUList` exposes that scan.
+scans the *head* of the active list, so the active view exposes that
+scan.
+
+:class:`GenerationLRU` stores that ordering as generation stamps over the
+address space's flat VPN-indexed arrays.  A linked two-list
+implementation in ``tests/lru_reference.py`` is the lockstep reference it
+is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
 from repro.mem.page import Page
 from repro.obs.trace import LRU_DEMOTE, LRU_EPOCH
 
-__all__ = ["LRUList", "ActiveInactiveLRU", "GenerationLRU"]
-
-#: Sentinel distinguishing "absent" from a stored None value.
-_MISSING = object()
+__all__ = ["GenerationLRU"]
 
 #: Shared empty candidate queue (never mutated in place).
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
-
-class LRUList:
-    """An ordered list of pages, most-recently-used at the head.
-
-    Backed by a plain insertion-ordered dict so every operation the
-    simulation performs (insert, remove, promote, pop-tail, head scan)
-    is O(1) or O(scan length); a promote is a single pop + re-insert,
-    not a probe-then-move.
-    """
-
-    def __init__(self, name: str = "lru"):
-        self.name = name
-        # Dicts iterate oldest-first; we keep MRU at the *end* and treat
-        # the end as the "head" of the kernel list.
-        self._pages: Dict[Page, None] = {}
-
-    def __len__(self) -> int:
-        return len(self._pages)
-
-    def __contains__(self, page: Page) -> bool:
-        return page in self._pages
-
-    def __iter__(self) -> Iterator[Page]:
-        """Iterate LRU-first (tail to head)."""
-        return iter(self._pages)
-
-    def add_to_head(self, page: Page) -> None:
-        if page in self._pages:
-            raise ValueError(f"page {page.vpn:#x} already on {self.name}")
-        self._pages[page] = None
-
-    def move_to_head(self, page: Page) -> None:
-        pages = self._pages
-        pages[page] = pages.pop(page)
-
-    def remove(self, page: Page) -> None:
-        del self._pages[page]
-
-    def discard(self, page: Page) -> bool:
-        """Remove if present; returns whether the page was on the list."""
-        sentinel = _MISSING
-        return self._pages.pop(page, sentinel) is not sentinel
-
-    def pop_tail(self) -> Optional[Page]:
-        """Remove and return the least-recently-used page."""
-        if not self._pages:
-            return None
-        page = next(iter(self._pages))
-        del self._pages[page]
-        return page
-
-    def peek_tail(self) -> Optional[Page]:
-        if not self._pages:
-            return None
-        return next(iter(self._pages))
-
-    def head_pages(self, count: int) -> List[Page]:
-        """The ``count`` most-recently-used pages, MRU first.
-
-        This is the scan Canvas's hot-page detector performs on the active
-        list (§5.1): "each scan identifies a set of pages from the head".
-        """
-        result: List[Page] = []
-        for page in reversed(self._pages):
-            if len(result) >= count:
-                break
-            result.append(page)
-        return result
-
-
-class ActiveInactiveLRU:
-    """The two-list page aging structure used for reclaim decisions."""
-
-    #: Consumers branch on this instead of isinstance: the flat
-    #: generation-stamp variant advertises ``flat = True``.
-    flat = False
-
-    def __init__(self, name: str = "memcg"):
-        self.name = name
-        self.active = LRUList(f"{name}.active")
-        self.inactive = LRUList(f"{name}.inactive")
-        self.tracer = None
-
-    def __len__(self) -> int:
-        return len(self.active) + len(self.inactive)
-
-    def __contains__(self, page: Page) -> bool:
-        return page in self.active or page in self.inactive
-
-    def insert(self, page: Page) -> None:
-        """A newly faulted-in page starts on the inactive list."""
-        self.inactive.add_to_head(page)
-
-    def note_access(self, page: Page) -> None:
-        """Promote a referenced inactive page; refresh an active one.
-
-        Hot-path: called once per simulated resident access.  Each list
-        is touched with a single hash probe (``pop``) instead of a
-        membership test followed by a move/remove.
-        """
-        active = self.active._pages
-        try:
-            active[page] = active.pop(page)
-            return
-        except KeyError:
-            pass
-        inactive = self.inactive._pages
-        try:
-            inactive.pop(page)
-        except KeyError:
-            raise ValueError(f"page {page.vpn:#x} not on {self.name} LRU") from None
-        active[page] = None
-
-    def remove(self, page: Page) -> None:
-        if not self.active.discard(page):
-            self.inactive.remove(page)
-
-    def discard(self, page: Page) -> bool:
-        return self.active.discard(page) or self.inactive.discard(page)
-
-    def balance(self, target_inactive_fraction: float = 0.5) -> int:
-        """Demote active-tail pages until the inactive list holds at least
-        ``target_inactive_fraction`` of all pages.  Returns demotions."""
-        total = len(self)
-        demoted = 0
-        while total and len(self.inactive) < total * target_inactive_fraction:
-            page = self.active.pop_tail()
-            if page is None:
-                break
-            page.referenced = False
-            self.inactive.add_to_head(page)
-            demoted += 1
-        if demoted and self.tracer is not None:
-            self.tracer.emit(LRU_DEMOTE, self.name, 0, len(self.inactive), demoted)
-        return demoted
-
-    def select_victim(self) -> Optional[Page]:
-        """Pick an eviction victim from the inactive tail.
-
-        A referenced tail page gets a second chance (rotated to the
-        inactive head with its referenced bit cleared), as in the kernel.
-        """
-        for _ in range(len(self.inactive) + 1):
-            page = self.inactive.pop_tail()
-            if page is None:
-                break
-            if page.referenced:
-                page.referenced = False
-                self.inactive.add_to_head(page)
-                continue
-            return page
-        # Fall back to aging the active list.
-        self.balance()
-        page = self.inactive.pop_tail()
-        return page
-
-    def select_victims(
-        self, n: int, stop: Optional[Callable[[Page], bool]] = None
-    ) -> List[Page]:
-        """Pop up to ``n`` victims at one simulated instant.
-
-        Equivalent to ``n`` back-to-back :meth:`select_victim` calls.
-        When ``stop`` is given the batch ends with the first victim for
-        which ``stop(page)`` is true (that victim is included) — reclaim
-        uses it to cut the batch at the first member whose processing
-        passes simulated time, so every later pop happens after it.
-        """
-        victims: List[Page] = []
-        while len(victims) < n:
-            page = self.select_victim()
-            if page is None:
-                break
-            victims.append(page)
-            if stop is not None and stop(page):
-                break
-        return victims
-
-
-# -- flat generation-stamp LRU --------------------------------------------
 
 #: Values of ``AddressSpace.lru_where``: not on the LRU, on the inactive
 #: list, on the active list.
@@ -212,9 +36,9 @@ LRU_NONE, LRU_INACTIVE, LRU_ACTIVE = 0, 1, 2
 class _GenerationView:
     """Read-only list view over one ``lru_where`` class (active/inactive).
 
-    Quacks enough like :class:`LRUList` for the structure's consumers —
-    the hot-page detector's ``head_pages`` scan, emergency reservation
-    release, and tests — by materializing stamp order on demand.
+    Serves the structure's list-shaped consumers — the hot-page
+    detector's ``head_pages`` scan, emergency reservation release, and
+    tests — by materializing stamp order on demand.
     """
 
     __slots__ = ("_lru", "_which", "name")
@@ -239,7 +63,7 @@ class _GenerationView:
         return vpn < len(where) and where[vpn] == self._which
 
     def __iter__(self) -> Iterator[Page]:
-        """Iterate LRU-first (lowest stamp first), like :class:`LRUList`."""
+        """Iterate LRU-first (lowest stamp first)."""
         pages = self._lru.space.pages
         return (pages[vpn] for vpn in self._vpns_lru_first().tolist())
 
@@ -261,18 +85,18 @@ class _GenerationView:
 class GenerationLRU:
     """Flat generation-stamp LRU over an address space's arrays.
 
-    Drop-in replacement for :class:`ActiveInactiveLRU` that stores the
-    ordering as a monotonically increasing stamp per VPN plus a one-byte
-    active/inactive classification (``AddressSpace.lru_stamp`` /
-    ``lru_where``) instead of linked-list nodes.  Every ordering event —
-    insert, promote, refresh, rotate, demote — writes a fresh stamp, so
-    ascending stamp order *is* the linked list's tail-to-head order and
-    both structures pick identical eviction victims on identical access
-    sequences (property-tested in ``tests/test_mem_lru.py``).
+    Stores the active/inactive ordering as a monotonically increasing
+    stamp per VPN plus a one-byte active/inactive classification
+    (``AddressSpace.lru_stamp`` / ``lru_where``) instead of linked-list
+    nodes.  Every ordering event — insert, promote, refresh, rotate,
+    demote — writes a fresh stamp, so ascending stamp order *is* a linked
+    two-list LRU's tail-to-head order and both pick identical eviction
+    victims on identical access sequences (property-tested in
+    ``tests/test_mem_lru.py`` against ``tests/lru_reference.py``).
 
-    The payoff is the batched resident fast path: ``note_access_run``
+    The payoff is the vectorized consume core: ``note_access_run``
     retires a whole run of promotions/refreshes as two vectorized
-    scatters, where the linked structure paid a dict probe per access.
+    scatters, where a linked structure pays a dict probe per access.
     Reclaim keeps victim order as an append-fed candidate queue: every
     transition into the inactive class takes a fresh stamp and appends
     its ``(stamp, vpn)`` entry, so the queue is sorted by construction
@@ -286,8 +110,6 @@ class GenerationLRU:
     exists so the counter cannot grow without bound over arbitrarily
     long co-runs, and is test-settable to exercise the rollover.
     """
-
-    flat = True
 
     #: Queue remainders at or below this take the per-entry drain; the
     #: vectorized drain's fixed gather cost only amortizes above it.
@@ -431,15 +253,20 @@ class GenerationLRU:
 
         ``vpns`` is in access order; duplicate VPNs resolve to the last
         occurrence's stamp (numpy scatter semantics), exactly the stamp a
-        scalar per-access loop would leave behind.  The stamp counter
-        still advances once per access so batched and scalar protocols
-        stay stamp-for-stamp identical.
+        per-access loop would leave behind, and the stamp counter
+        advances once per promoted access.  In a space with shared
+        mappings, a resident page this LRU does not hold (another app
+        mapped it in) is skipped: the LRU it sits on is the only one
+        that ages it, as Linux keeps a shared anonymous page on one
+        memcg's LRU and other mappers only set its referenced bit.
         """
+        space = self.space
+        if space.has_foreign_pages:
+            vpns = vpns[space.lru_where[vpns] != LRU_NONE]
         n = len(vpns)
         if not n:
             return
         start = self._take_stamps(n)
-        space = self.space
         space.lru_stamp[vpns] = np.arange(start, start + n, dtype=np.int64)
         space.lru_where[vpns] = LRU_ACTIVE
         self._counts_stale = True

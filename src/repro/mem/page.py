@@ -10,9 +10,9 @@ page lock held while swap I/O is in flight.
 Flat-state layout: once a page is attached to an address space, its
 dirty/referenced bits, access timestamp, and residency bit live in that
 space's flat numpy arrays (indexed by VPN) rather than in per-object
-slots.  The batched consume path updates whole runs of those arrays with
-a handful of vectorized ops; the scalar accessors below read and write
-the same storage, so both protocols always see one source of truth.  A
+slots.  The consume core updates whole runs of those arrays with a
+handful of vectorized ops; the scalar accessors below read and write
+the same storage, so both always see one source of truth.  A
 free-standing page (no space attached, as unit tests build them) falls
 back to plain per-object slots.
 """

@@ -9,17 +9,15 @@ rather than asserted.  Sections:
   (``consume_batch``),
 * ``lru``         — per-access page/LRU maintenance,
 * ``fault_path``  — the swap system's fault handler (its own execution
-  slices only; time blocked on simulated I/O is not wall time).  Under
-  the batched driver this is the whole fault group, the CPU flushes
-  between its members included,
+  slices only; time blocked on simulated I/O is not wall time).  This
+  is the whole fault group, the CPU flushes between its members
+  included,
 * ``rdma``        — the RNIC model (dispatch selection + completions),
 * ``engine/other``— everything unattributed (event heap, callbacks,
   kswapd, schedulers), computed as total wall minus the above.
 
-Attribution granularity depends on the driver: the batched driver
-separates ``fast_path`` from ``lru``; the scalar driver lumps both into
-``engine/other``.  Profiling never changes simulated results — only
-wall-clock readings are taken.
+Profiling never changes simulated results — only wall-clock readings
+are taken.
 """
 
 from __future__ import annotations

@@ -132,12 +132,10 @@ class EntryAllocator:
         the same order as ``n`` back-to-back :meth:`allocate` calls —
         including per-entry ``stats.record`` timestamps, so allocator
         statistics are bit-identical (pinned by the seeded A/B property
-        suite in ``tests/test_allocator_batch.py``).  What the batch
-        saves is host-side generator plumbing: the caller enters one
-        sub-generator per batch instead of one per entry.  Policies
-        override with an inlined loop; this base fallback delegates so
-        any allocator is batch-callable.  Partition exhaustion raises
-        mid-batch exactly where the serial loop would.
+        suite in ``tests/test_allocator_batch.py``).  It is the serial
+        loop, so every policy is batch-callable and exact by
+        construction.  Partition exhaustion raises mid-batch exactly
+        where the serial loop would.
         """
         entries: List[SwapEntry] = []
         for _ in range(n):
@@ -225,26 +223,6 @@ class FreeListAllocator(EntryAllocator):
         self.stats.record(start, self.engine.now)
         self._trace_alloc(entry)
         return entry
-
-    def allocate_many(self, n: int, core_id: int = 0) -> Generator:
-        entries: List[SwapEntry] = []
-        engine = self.engine
-        for _ in range(n):
-            start = engine.now
-            yield self.lock.acquire()
-            self.stats.lock_acquisitions += 1
-            try:
-                cost = _scan_cost_us(
-                    self.base_scan_us, self.partition.occupancy, self.scan_factor
-                )
-                yield engine.timeout(cost)
-                entry = self.partition.pop_free()
-            finally:
-                self.lock.release()
-            self.stats.record(start, engine.now)
-            self._trace_alloc(entry)
-            entries.append(entry)
-        return entries
 
 
 class _Cluster:
@@ -345,37 +323,6 @@ class PerCoreClusterAllocator(EntryAllocator):
             self._trace_alloc(entry)
             return entry
 
-    def allocate_many(self, n: int, core_id: int = 0) -> Generator:
-        entries: List[SwapEntry] = []
-        engine = self.engine
-        for _ in range(n):
-            start = engine.now
-            while True:
-                cluster = self._core_cluster.get(core_id)
-                if cluster is None or not cluster.free:
-                    cluster = self._assign_cluster(core_id)
-                    if cluster is None:
-                        raise RuntimeError(f"{self.name}: all clusters exhausted")
-                yield cluster.lock.acquire()
-                self.stats.lock_acquisitions += 1
-                try:
-                    if not cluster.free:
-                        continue  # raced with a collider; pick a new cluster
-                    cost = _scan_cost_us(
-                        self.base_scan_us, self.occupancy, self.scan_factor
-                    )
-                    yield engine.timeout(cost)
-                    entry = cluster.free.pop()
-                    entry.allocated = True
-                    self._allocated += 1
-                finally:
-                    cluster.lock.release()
-                self.stats.record(start, engine.now)
-                self._trace_alloc(entry)
-                entries.append(entry)
-                break
-        return entries
-
     def free(self, entry: SwapEntry) -> None:
         if self.tracer is not None:
             self.tracer.emit(ENTRY_FREE, "", 0, entry.entry_id, self.name)
@@ -468,32 +415,6 @@ class BatchAllocator(EntryAllocator):
         self._trace_alloc(entry)
         return entry
 
-    def allocate_many(self, n: int, core_id: int = 0) -> Generator:
-        entries: List[SwapEntry] = []
-        engine = self.engine
-        cache = self._core_cache.setdefault(core_id, [])
-        for _ in range(n):
-            start = engine.now
-            if not cache:
-                yield self.lock.acquire()
-                self.stats.lock_acquisitions += 1
-                try:
-                    scan = _scan_cost_us(
-                        self.base_scan_us, self.partition.occupancy, self.scan_factor
-                    )
-                    scan += self.per_entry_batch_us * (self.batch_size - 1)
-                    yield engine.timeout(scan)
-                    cache.extend(self.partition.pop_free_batch(self.batch_size))
-                finally:
-                    self.lock.release()
-                if not cache:
-                    raise RuntimeError(f"{self.name}: partition exhausted")
-            entry = cache.pop()
-            self.stats.record(start, engine.now)
-            self._trace_alloc(entry)
-            entries.append(entry)
-        return entries
-
     def retire_matching(self, server_id: int) -> List[SwapEntry]:
         victims = super().retire_matching(server_id)
         for cache in self._core_cache.values():
@@ -568,46 +489,6 @@ class Linux514Allocator(PerCoreClusterAllocator):
         self.stats.record(start, self.engine.now)
         self._trace_alloc(entry)
         return entry
-
-    def allocate_many(self, n: int, core_id: int = 0) -> Generator:
-        entries: List[SwapEntry] = []
-        engine = self.engine
-        batch = self._core_batch.setdefault(core_id, [])
-        for _ in range(n):
-            start = engine.now
-            if not batch:
-                while True:
-                    cluster = self._core_cluster.get(core_id)
-                    if cluster is None or not cluster.free:
-                        cluster = self._assign_cluster(core_id)
-                        if cluster is None:
-                            raise RuntimeError(
-                                f"{self.name}: all clusters exhausted"
-                            )
-                    yield cluster.lock.acquire()
-                    self.stats.lock_acquisitions += 1
-                    try:
-                        if not cluster.free:
-                            continue
-                        take = min(self.batch_size, len(cluster.free))
-                        cost = _scan_cost_us(
-                            self.base_scan_us, self.occupancy, self.scan_factor
-                        )
-                        cost += self.per_entry_batch_us * (take - 1)
-                        yield engine.timeout(cost)
-                        for _ in range(take):
-                            entry = cluster.free.pop()
-                            entry.allocated = True
-                            self._allocated += 1
-                            batch.append(entry)
-                    finally:
-                        cluster.lock.release()
-                    break
-            entry = batch.pop()
-            self.stats.record(start, engine.now)
-            self._trace_alloc(entry)
-            entries.append(entry)
-        return entries
 
     def retire_matching(self, server_id: int) -> List[SwapEntry]:
         victims = super().retire_matching(server_id)  # cluster free lists

@@ -1,20 +1,22 @@
-"""Batched access streams: the workload side of the resident fast path.
+"""Batched access streams: the form every driver thread consumes.
 
-The unbatched protocol hands the driver one ``(vpn, is_write, cpu_us)``
-tuple per simulated memory access — a Python-level generator round-trip
-per access, which dominates wall-clock time once the simulation itself
-is cheap (resident accesses trigger no events).  The batched protocol
-moves the same stream in :class:`AccessBatch` chunks of a few thousand
-accesses, produced vectorized (numpy) by the pattern generators and
-consumed in a tight loop by ``BaseSwapSystem.consume_batch``.
+A workload stream is the sequence of ``(vpn, is_write, cpu_us)`` accesses
+one thread performs.  Handing the driver one tuple per access would cost
+a Python-level generator round-trip per access, which dominates
+wall-clock time once the simulation itself is cheap (resident accesses
+trigger no events).  So streams travel in :class:`AccessBatch` chunks of
+about a thousand accesses, produced vectorized (numpy) by the pattern
+generators and consumed in a tight loop by
+``BaseSwapSystem.consume_batch``.
 
-Equivalence contract: ``flatten_batches(batches)`` must yield exactly
-the access sequence the unbatched stream would — same VPNs, same write
-flags, same per-access CPU, same RNG draw order.  The scalar pattern
-generators in :mod:`repro.workloads.patterns` are implemented as
-``flatten_batches`` over their batched variants, so the two protocols
-share one source of truth; workloads without a native batched stream
-fall back to :func:`chunk_stream`, which re-chunks a scalar stream.
+Equivalence contract: ``flatten_batches(batches)`` yields exactly the
+scalar access sequence — same VPNs, same write flags, same per-access
+CPU, same RNG draw order.  The scalar pattern generators in
+:mod:`repro.workloads.patterns` (kept as an inspection API) are
+implemented as ``flatten_batches`` over their batched variants, so both
+views share one source of truth; workloads without a native batched
+stream fall back to :func:`chunk_stream`, which re-chunks a scalar
+stream.  Simulated results do not depend on where batch boundaries fall.
 """
 
 from __future__ import annotations

@@ -1,16 +1,16 @@
 """Access-stream combinators.
 
-Each scalar generator yields ``(vpn, is_write, cpu_us)`` tuples — the
-protocol consumed by :func:`repro.harness.driver.app_thread`.  Workloads
-are built by composing these primitives: Snappy is one sequential
-stream, Memcached is a Zipf stream, Spark is epochal scans plus pointer
-chasing plus GC bursts, and so on.
+Workloads are built by composing these primitives: Snappy is one
+sequential stream, Memcached is a Zipf stream, Spark is epochal scans
+plus pointer chasing plus GC bursts, and so on.
 
-Every primitive also has a ``*_batches`` variant producing
+Every primitive has a ``*_batches`` variant producing
 :class:`~repro.workloads.batch.AccessBatch` chunks with the columns
-computed vectorized.  The scalar generators are defined as
-``flatten_batches`` over the batched ones, so both protocols emit the
-same access sequence from the same RNG draws by construction.
+computed vectorized — the form the driver consumes — and a scalar view
+yielding ``(vpn, is_write, cpu_us)`` tuples for inspection.  The scalar
+generators are defined as ``flatten_batches`` over the batched ones, so
+both emit the same access sequence from the same RNG draws by
+construction.
 """
 
 from __future__ import annotations

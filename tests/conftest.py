@@ -6,15 +6,21 @@ requests with a fake owner — so the constructors live here once.  They
 are plain helpers (importable via ``from tests.conftest import ...``),
 not pytest fixtures: most tests want to parameterize the construction
 per call, which fixtures make awkward.
+
+Everything they build is the production path: apps age pages on the
+generation-stamp LRU, and the stream helpers yield ``AccessBatch``
+chunks, the form ``spawn_app`` drives.
 """
 
 from repro.core import CanvasSwapSystem
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
 from repro.kernel.swap_system import BaseSwapSystem
 from repro.rdma import RdmaOp, RdmaRequest, RequestKind
+from repro.workloads.batch import chunk_stream
 
 __all__ = [
     "build_canvas",
+    "build_shared_corun",
     "seq_stream",
     "build_system",
     "sequential_accesses",
@@ -54,10 +60,10 @@ def build_canvas(machine, canvas_config=None, apps_spec=None):
 
 
 def seq_stream(app, n, write=False, cpu=0.05):
-    """Sequential accesses cycling over an app's whole address space."""
+    """Sequential accesses cycling over an app's whole address space,
+    batched."""
     vpns = sorted(app.space.pages)
-    for i in range(n):
-        yield (vpns[i % len(vpns)], write, cpu)
+    return chunk_stream((vpns[i % len(vpns)], write, cpu) for i in range(n))
 
 
 def build_system(
@@ -68,7 +74,6 @@ def build_system(
     prefetcher=None,
     cache_pages=64,
     n_cores=4,
-    flat_state=False,
 ):
     """A Linux-baseline system with one app; returns (system, app, vma)."""
     config = SwapSystemConfig(shared_cache_pages=cache_pages)
@@ -83,7 +88,6 @@ def build_system(
     app = AppContext(
         machine.engine,
         CgroupConfig(name="app", n_cores=n_cores, local_memory_pages=local_pages),
-        flat_state=flat_state,
     )
     vma = app.space.map_region(total_pages, name="heap")
     system.register_app(app)
@@ -91,10 +95,72 @@ def build_system(
     return system, app, vma
 
 
+def build_shared_corun(machine, system="linux", shared=True, touch_shared=True):
+    """Two small apps, ``a`` and ``b``, under memory pressure.
+
+    Each maps a 384-page heap.  ``a`` also maps a 96-page region which
+    ``b`` maps shared when ``shared`` is set (the §4 shared-page path).
+    Returns ``(system, apps, streams)``: per app, one batched stream of
+    3,000 accesses, a third of them writes.  With ``touch_shared`` every
+    app that maps the region interleaves it with its heap; otherwise
+    the streams stay on the heaps.
+    """
+    engine = machine.engine
+    if system == "canvas":
+        swap = CanvasSwapSystem(engine, machine.nic, telemetry=machine.telemetry)
+    else:
+        swap = LinuxSwapSystem(
+            engine,
+            machine.nic,
+            partition_pages=4096,
+            telemetry=machine.telemetry,
+            config=SwapSystemConfig(shared_cache_pages=64),
+        )
+    apps = {}
+    heaps = {}
+    for name in ("a", "b"):
+        app = AppContext(
+            engine,
+            CgroupConfig(
+                name=name,
+                n_cores=2,
+                local_memory_pages=160,
+                swap_partition_pages=1024,
+                swap_cache_pages=64,
+            ),
+        )
+        heaps[name] = app.space.map_region(384, name="heap")
+        apps[name] = app
+    region = apps["a"].space.map_region(96, name="shm")
+    if shared:
+        apps["b"].space.map_shared_from(apps["a"].space, region)
+    for app in apps.values():
+        swap.register_app(app)
+    for app in apps.values():
+        swap.prepopulate(app, resident_fraction=0.3)
+
+    def accesses(name, offset):
+        heap = heaps[name]
+        touch = touch_shared and (shared or name == "a")
+        for i in range(3000):
+            if touch and i % 2:
+                vpn = region.start_vpn + (offset + i) % region.n_pages
+            else:
+                vpn = heap.start_vpn + (offset + i) % heap.n_pages
+            yield (vpn, i % 3 == 0, 0.05)
+
+    streams = {
+        name: chunk_stream(accesses(name, offset))
+        for offset, name in enumerate(apps)
+    }
+    return swap, apps, streams
+
+
 def sequential_accesses(vma, n, write=False, cpu_us=0.05):
-    """Sequential accesses cycling over one VMA."""
-    for i in range(n):
-        yield (vma.start_vpn + (i % vma.n_pages), write, cpu_us)
+    """Sequential accesses cycling over one VMA, batched."""
+    return chunk_stream(
+        (vma.start_vpn + (i % vma.n_pages), write, cpu_us) for i in range(n)
+    )
 
 
 class FakeOwner:

@@ -2,8 +2,9 @@
 
 Each entry is a zero-argument function returning one hex digest.  The
 matrix covers the six swap systems on a single app and on a co-run, every
-named fault scenario, every scripted rack episode, one churn day, and the
-scripted writeback-error unwind.  ``tests/test_golden_digests.py`` checks
+named fault scenario, every scripted rack episode, one churn day, the scripted
+writeback-error unwind, and a two-app co-run over a shared mapping on
+Linux and on Canvas.  ``tests/test_golden_digests.py`` checks
 each entry against ``tests/golden/digests.json``; ``tests/golden/regen.py``
 lists and rewrites the entries that changed.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.cluster import ClusterConfig
 from repro.faults import (
@@ -30,7 +31,7 @@ from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.experiment import ExperimentConfig, churn_digest, run_experiment
 from repro.harness.machine import Machine
 from repro.harness.results import result_digest
-from tests.conftest import build_system, sequential_accesses
+from tests.conftest import build_shared_corun, build_system, sequential_accesses
 from tests.test_lifecycle import churn_config
 
 __all__ = [
@@ -43,6 +44,8 @@ __all__ = [
     "rack_run",
     "writeback_error_run",
     "writeback_error_digest",
+    "shared_run",
+    "shared_ledger_errors",
 ]
 
 SYSTEMS = ["linux", "linux514", "fastswap", "infiniswap", "canvas-iso", "canvas"]
@@ -91,10 +94,10 @@ def rack_run(system, fault_config, n_servers=4, apps=("memcached",), seed=11):
 
 
 def writeback_error_run():
-    """A write-heavy flat-state run whose first swap-out fails straight
-    to an error CQE; returns ``(machine, system, app)``."""
+    """A write-heavy run whose first swap-out fails straight to an error
+    CQE; returns ``(machine, system, app)``."""
     machine = Machine(seed=1)
-    system, app, vma = build_system(machine, flat_state=True)
+    system, app, vma = build_system(machine)
     plan = FaultPlan(
         FaultConfig(
             roll_script=(FAULT_ERROR,),
@@ -122,6 +125,70 @@ def writeback_error_digest(machine, app) -> str:
         machine.engine.now,
         sorted(nic.items()),
     )
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def shared_run(system):
+    """Two apps touching a shared region under memory pressure, drained
+    past completion; returns ``(machine, system, apps)``."""
+    machine = Machine(seed=5)
+    swap, apps, streams = build_shared_corun(machine, system)
+    procs = [spawn_app(swap, apps[name], [streams[name]]) for name in apps]
+    run_to_completion(machine.engine, procs)
+    machine.engine.run(until=machine.engine.now + 200_000)
+    return machine, swap, apps
+
+
+def shared_ledger_errors(system, apps) -> List[str]:
+    """End-state ledgers of a drained run whose apps may share pages.
+
+    Every present page (resident or in a swap cache) holds one charged
+    frame, every resident page sits on exactly one app's LRU, nothing is
+    in flight, and every allocated swap entry is held by a page (no
+    leaked entry, none held twice).
+    """
+    pages = {id(p): p for app in apps.values() for p in app.space.pages.values()}
+    pages = list(pages.values())
+    errors = []
+    resident = sum(p.resident for p in pages)
+    present = resident + sum(p.in_swap_cache for p in pages)
+    charged = sum(app.pool.used for app in apps.values())
+    if charged != present:
+        errors.append(f"{charged} frames charged for {present} present pages")
+    on_lru = sum(len(app.lru) for app in apps.values())
+    if on_lru != resident:
+        errors.append(f"{on_lru} LRU members for {resident} resident pages")
+    if system._inflight or system._inflight_req:
+        errors.append("I/O still in flight")
+    if any(app.outstanding_writebacks for app in apps.values()):
+        errors.append("writebacks still outstanding")
+    held = [p.swap_entry for p in pages if p.swap_entry is not None]
+    held += [
+        p.reserved_entry
+        for p in pages
+        if p.reserved_entry is not None and p.reserved_entry is not p.swap_entry
+    ]
+    if len({id(e) for e in held}) != len(held):
+        errors.append("a swap entry is held by two pages")
+    partitions = [state.partition for state in getattr(system, "_state", {}).values()]
+    partitions += [getattr(system, "partition", None)]
+    partitions += [getattr(system, "global_partition", None)]
+    allocated = sum(part.used_count for part in partitions if part is not None)
+    if allocated != len(held):
+        errors.append(f"{allocated} entries allocated, {len(held)} held by pages")
+    return errors
+
+
+def _shared(system) -> str:
+    machine, swap, apps = shared_run(system)
+    errors = shared_ledger_errors(swap, apps)
+    if errors:
+        raise AssertionError(f"shared/{system}: " + "; ".join(errors))
+    parts = [
+        (name, sorted(dataclasses.asdict(app.stats).items()), app.finished_at_us)
+        for name, app in sorted(apps.items())
+    ]
+    parts.append(machine.engine.now)
     return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
@@ -153,6 +220,8 @@ def _build() -> Dict[str, Callable[[], str]]:
         )
     entries["churn/canvas"] = _churn
     entries["unwind/writeback-error"] = _writeback_error
+    for system in ("linux", "canvas"):
+        entries[f"shared/{system}"] = lambda s=system: _shared(s)
     return entries
 
 

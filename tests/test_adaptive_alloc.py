@@ -19,6 +19,13 @@ def make_manager(n_entries=128, high=0.75, **kwargs):
     return engine, partition, app, manager
 
 
+def app_pages(app, n):
+    """``n`` fresh pages mapped into the app's space (the LRU ages them
+    over that space's arrays)."""
+    vma = app.space.map_region(n)
+    return [app.space.page(vpn) for vpn in vma.vpns()]
+
+
 def obtain(engine, manager, page, core=0):
     result = []
 
@@ -132,7 +139,7 @@ def test_hot_scan_removes_reservation_under_pressure():
     engine, partition, app, manager = make_manager(
         n_entries=64, high=0.10, hot_threshold=2
     )
-    page = Page(5)
+    (page,) = app_pages(app, 1)
     entry = obtain(engine, manager, page)  # granted (occupancy still low)
     # Make the partition pressured and the page hot (resident + LRU head).
     for _ in range(30):
@@ -155,7 +162,7 @@ def test_hot_score_resets_when_page_leaves_head():
     engine, partition, app, manager = make_manager(
         n_entries=64, high=0.0, hot_threshold=5, scan_fraction=0.01
     )
-    pages = [Page(i) for i in range(100)]
+    pages = app_pages(app, 100)
     for page in pages:
         page.resident = True
         app.lru.insert(page)
@@ -173,7 +180,7 @@ def test_hot_score_resets_when_page_leaves_head():
 
 def test_no_scanning_without_pressure():
     engine, partition, app, manager = make_manager(n_entries=1024, high=0.99)
-    page = Page(6)
+    (page,) = app_pages(app, 1)
     obtain(engine, manager, page)
     page.resident = True
     page.swap_entry = page.reserved_entry
@@ -188,7 +195,7 @@ def test_emergency_release_frees_resident_reservations():
     """Allocations never starve: when the partition approaches
     exhaustion, reservations held by resident pages are recycled."""
     engine, partition, app, manager = make_manager(n_entries=8, high=0.99)
-    pages = [Page(i) for i in range(12)]  # more pages than entries
+    pages = app_pages(app, 12)  # more pages than entries
     for page in pages:
         entry = obtain(engine, manager, page)
         assert entry is not None

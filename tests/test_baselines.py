@@ -5,6 +5,7 @@ from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig, SwapSystemConfig
 from repro.rdma.message import RequestKind
+from repro.workloads.batch import chunk_stream
 
 
 def build(machine, system_cls, **kwargs):
@@ -28,8 +29,7 @@ def build(machine, system_cls, **kwargs):
 
 def seq_stream(app, n, write=True):
     vpns = sorted(app.space.pages)
-    for i in range(n):
-        yield (vpns[i % len(vpns)], write, 0.05)
+    return chunk_stream((vpns[i % len(vpns)], write, 0.05) for i in range(n))
 
 
 def test_fastswap_splits_demand_and_prefetch_qps():

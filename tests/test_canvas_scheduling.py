@@ -7,6 +7,7 @@ from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig
+from repro.workloads.batch import chunk_stream
 
 
 def test_timeliness_drops_follow_horizontal_by_default():
@@ -82,7 +83,9 @@ def test_drop_and_reissue_path_exercised_under_pressure():
             for i in range(2500):
                 yield (vpns[(i * 7) % len(vpns)], i % 3 == 0, 0.2)
 
-        procs.append(spawn_app(system, app, [stream(), stream()]))
+        procs.append(
+            spawn_app(system, app, [chunk_stream(stream()), chunk_stream(stream())])
+        )
         apps.append(app)
     run_to_completion(machine.engine, procs)
     total_drops = sum(a.stats.prefetch_drops for a in apps)

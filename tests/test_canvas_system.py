@@ -6,6 +6,7 @@ from repro.core import CanvasConfig
 from repro.harness.driver import spawn_app, run_to_completion
 from repro.harness.machine import Machine
 from repro.mem import PageState
+from repro.workloads.batch import chunk_stream
 from tests.conftest import build_canvas, seq_stream
 
 
@@ -161,7 +162,11 @@ def test_canvas_full_run_with_drops_and_two_tier():
         for i in range(1500):
             yield (chain[(start + i) % len(chain)], False, 0.1)
 
-    proc = spawn_app(system, app, [chase(0), chase(len(chain) // 2)])
+    proc = spawn_app(
+        system,
+        app,
+        [chunk_stream(chase(0)), chunk_stream(chase(len(chain) // 2))],
+    )
     run_to_completion(machine.engine, [proc])
     assert app.finished_at_us is not None
     # Pointer chasing defeats kernel readahead → faults get forwarded up.

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.harness.driver import app_thread, run_to_completion, spawn_app
+from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
 from repro.sim import SimulationError
+from repro.workloads.batch import chunk_stream
 
 
 def build(machine, local=128, total=256, cores=2):
@@ -50,7 +51,7 @@ def test_all_resident_run_is_pure_cpu():
     system, app = build_fully_resident(machine)
     vpns = sorted(app.space.pages)
     accesses = [(vpns[i % len(vpns)], False, 1.0) for i in range(100)]
-    proc = spawn_app(system, app, [iter(accesses)])
+    proc = spawn_app(system, app, [chunk_stream(accesses)])
     run_to_completion(machine.engine, [proc])
     assert app.stats.faults == 0
     assert app.stats.accesses == 100
@@ -63,7 +64,7 @@ def test_cpu_flush_batches_reduce_event_count():
     system, app = build_fully_resident(machine)
     vpns = sorted(app.space.pages)
     accesses = [(vpns[i % len(vpns)], False, 0.5) for i in range(200)]
-    proc = spawn_app(system, app, [iter(accesses)], cpu_flush_us=50.0)
+    proc = spawn_app(system, app, [chunk_stream(accesses)], cpu_flush_us=50.0)
     run_to_completion(machine.engine, [proc])
     # Total CPU time still fully charged despite batching.
     assert app.cores.stats.busy_us == pytest.approx(100.0, rel=0.05)
@@ -73,7 +74,7 @@ def test_write_accesses_dirty_pages():
     machine = Machine(seed=0)
     system, app = build(machine)
     vpn = sorted(app.space.pages)[0]
-    proc = spawn_app(system, app, [iter([(vpn, True, 0.1)])])
+    proc = spawn_app(system, app, [chunk_stream([(vpn, True, 0.1)])])
     run_to_completion(machine.engine, [proc])
     assert app.space.page(vpn).dirty
 
@@ -82,7 +83,7 @@ def test_started_and_finished_timestamps():
     machine = Machine(seed=0)
     system, app = build(machine)
     vpns = sorted(app.space.pages)
-    proc = spawn_app(system, app, [iter([(v, False, 0.5) for v in vpns[:50]])])
+    proc = spawn_app(system, app, [chunk_stream([(v, False, 0.5) for v in vpns[:50]])])
     run_to_completion(machine.engine, [proc])
     assert app.finished_at_us is not None
     assert app.finished_at_us >= app.started_at_us
@@ -93,7 +94,7 @@ def test_multiple_threads_complete_together():
     machine = Machine(seed=0)
     system, app = build(machine, cores=4)
     vpns = sorted(app.space.pages)
-    streams = [iter([(v, False, 0.2) for v in vpns[:40]]) for _ in range(4)]
+    streams = [chunk_stream([(v, False, 0.2) for v in vpns[:40]]) for _ in range(4)]
     proc = spawn_app(system, app, streams)
     run_to_completion(machine.engine, [proc])
     assert app.stats.accesses == 160

@@ -114,7 +114,7 @@ def test_grouped_reclaim_counters_stay_nonnegative_and_drain():
 
     # Re-drive the same shape with an in-engine monitor for live samples.
     machine = Machine(seed=1)
-    mon_system, app, vma = build_system(machine, flat_state=True)
+    mon_system, app, vma = build_system(machine)
 
     def monitor():
         while app.finished_at_us is None:

@@ -6,6 +6,7 @@ from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
 from repro.rdma.message import RequestKind
+from repro.workloads.batch import chunk_stream
 
 
 def build(machine, local=128, total=512, cores=4, cache=96, prefetcher=None):
@@ -146,7 +147,7 @@ def test_oom_waits_for_outstanding_writebacks():
         for i in range(1500):
             yield (vpns[(i * 5) % len(vpns)], True, 0.02)
 
-    procs = [spawn_app(system, app, [stream(), stream(), stream()])]
+    procs = [spawn_app(system, app, [chunk_stream(stream()) for _ in range(3)])]
     run_to_completion(machine.engine, procs)  # must not raise
     assert app.finished_at_us is not None
 

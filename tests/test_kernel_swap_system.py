@@ -4,6 +4,7 @@ from repro.harness.driver import spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
 from repro.prefetch import KernelReadahead
+from repro.workloads.batch import chunk_stream
 from tests.conftest import build_system, sequential_accesses
 
 
@@ -149,7 +150,8 @@ def test_multi_app_sharing_interferes():
             system.register_app(app)
             system.prepopulate(app, resident_fraction=0.15)
             streams = [
-                strided_stream(vma, t * 128, 1200, write=True) for t in range(8)
+                chunk_stream(strided_stream(vma, t * 128, 1200, write=True))
+                for t in range(8)
             ]
             spawn_app(system, app, streams)
             apps.append(app)

@@ -1,8 +1,9 @@
-"""Unit tests for LRU lists and the active/inactive aging structure."""
+"""Unit tests for the generation-stamp LRU and its linked reference."""
 
 import pytest
 
-from repro.mem import ActiveInactiveLRU, LRUList, Page
+from repro.mem import Page
+from tests.lru_reference import ActiveInactiveLRU, LRUList
 
 
 def make_pages(n):

@@ -183,7 +183,7 @@ def test_parallel_workers_share_disk_cache(cache_dir):
     assert warm[0].completion_time("snappy") > 0
 
 
-# -- determinism: batched vs scalar stream protocol ---------------------
+# -- determinism: batch boundaries and the consume core -----------------
 
 
 def test_result_digest_stable_and_sensitive():
@@ -198,18 +198,32 @@ def test_result_digest_stable_and_sensitive():
 
 
 @pytest.mark.parametrize("system", ["linux", "canvas"])
-def test_batched_streams_bit_identical_to_scalar(system):
-    """The resident fast path may not change a single simulated number.
+def test_batched_streams_bit_identical_to_scalar(system, monkeypatch):
+    """Where a stream's batch boundaries fall may not change a single
+    simulated number.
 
     A co-run that mixes native batched producers (memcached, spark_lr,
-    neo4j) with the chunk_stream fallback (snappy) must produce the same
-    digest with batching on and off.
+    neo4j) with the chunk_stream fallback (snappy) is rerun with every
+    thread stream re-chunked into 7-access batches; the digest must
+    match the run on the producers' own batches.
     """
+    from repro.harness import experiment
+    from repro.workloads.batch import chunk_stream, flatten_batches
+
     corun = ["snappy", "memcached", "spark_lr", "neo4j"]
-    batched = run_experiment(corun, tiny(system, batched_streams=True))
-    scalar = run_experiment(corun, tiny(system, batched_streams=False))
-    assert_same_result(batched, scalar)
-    assert result_digest(batched) == result_digest(scalar)
+    native = run_experiment(corun, tiny(system))
+    spawn = experiment.spawn_app
+
+    def rechunked(system, app, thread_streams, *args, **kwargs):
+        streams = [
+            chunk_stream(flatten_batches(s), batch_size=7) for s in thread_streams
+        ]
+        return spawn(system, app, streams, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "spawn_app", rechunked)
+    small = run_experiment(corun, tiny(system))
+    assert_same_result(native, small)
+    assert result_digest(native) == result_digest(small)
 
 
 def test_batched_digest_unaffected_by_profiler():
@@ -228,18 +242,23 @@ def test_batched_digest_unaffected_by_profiler():
 
 
 def test_flat_consume_core_matches_scan_core(monkeypatch):
-    """The vectorized consume core and the per-page scan core are
-    interchangeable on the same flat-state run: forcing every consume
-    through the scan fallback may not change a single simulated number."""
-    from repro.kernel.swap_system import BaseSwapSystem
+    """The consume core's per-page side-effect branch (the one spaces
+    with shared mappings take) is interchangeable with its vectorized
+    scatters: forcing every space of a plain co-run onto it — and so
+    also onto reclaim's per-entry drain — may not change a single
+    simulated number."""
+    from repro.mem.address_space import AddressSpace
 
     corun = ["snappy", "memcached", "spark_lr"]
-    flat = run_experiment(corun, tiny("linux", batched_streams=True))
+    vectorized = run_experiment(corun, tiny("linux"))
+    init = AddressSpace.__init__
 
-    def scan_only(self, app, batch, start, pending_cpu, flush_us):
-        return self._consume_batch_scan(app, batch, start, pending_cpu, flush_us, None)
+    def flagged_foreign(self, name):
+        init(self, name)
+        self.has_foreign_pages = True
 
-    monkeypatch.setattr(BaseSwapSystem, "consume_batch", scan_only)
-    scanned = run_experiment(corun, tiny("linux", batched_streams=True))
-    assert_same_result(flat, scanned)
-    assert result_digest(flat) == result_digest(scanned)
+    monkeypatch.setattr(AddressSpace, "__init__", flagged_foreign)
+    per_page = run_experiment(corun, tiny("linux"))
+    assert all(app.space.has_foreign_pages for app in per_page.apps.values())
+    assert_same_result(vectorized, per_page)
+    assert result_digest(vectorized) == result_digest(per_page)

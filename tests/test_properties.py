@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem import ActiveInactiveLRU, FramePool, Page
+from repro.mem import AddressSpace, FramePool, GenerationLRU
 from repro.metrics import Histogram
 from repro.prefetch import KernelReadahead, PageGroupGraph, majority_vote
 from repro.sim import Engine
@@ -130,11 +130,13 @@ def test_partition_alloc_free_conservation(ops):
 
 @given(st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=150))
 def test_lru_membership_invariants(vpns):
-    lru = ActiveInactiveLRU()
+    space = AddressSpace("p")
+    vma = space.map_region(31)
+    lru = GenerationLRU(space)
     pages = {}
     for vpn in vpns:
         if vpn not in pages:
-            pages[vpn] = Page(vpn)
+            pages[vpn] = space.page(vma.start_vpn + vpn)
             lru.insert(pages[vpn])
         else:
             lru.note_access(pages[vpn])
@@ -144,10 +146,10 @@ def test_lru_membership_invariants(vpns):
     # Evicting everything drains exactly all pages with no duplicates.
     victims = []
     while True:
-        victim = lru.select_victim()
-        if victim is None:
+        popped = lru.select_victims(1)
+        if not popped:
             break
-        victims.append(victim)
+        victims.extend(popped)
     assert len(victims) == len(pages)
     assert len(set(v.vpn for v in victims)) == len(pages)
 

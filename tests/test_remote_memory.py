@@ -9,6 +9,7 @@ from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig
 from repro.sim import Engine
 from repro.swap import SwapPartition
+from repro.workloads.batch import chunk_stream
 
 
 def test_partition_grow_extends_free_list():
@@ -129,7 +130,7 @@ def test_canvas_demand_driven_end_to_end():
         for i in range(3000):
             yield (vpns[i % len(vpns)], True, 0.2)
 
-    proc = spawn_app(system, app, [stream()])
+    proc = spawn_app(system, app, [chunk_stream(stream())])
     run_to_completion(machine.engine, [proc])
     assert app.finished_at_us is not None
     assert state.partition.n_entries <= 1024  # never exceeds the limit

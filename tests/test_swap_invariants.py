@@ -32,7 +32,8 @@ from repro.swap.allocator import (
     PerCoreClusterAllocator,
 )
 from repro.swap.swap_cache import SwapCache
-from tests.conftest import build_system, sequential_accesses
+from tests.conftest import build_shared_corun, build_system, sequential_accesses
+from tests.golden.matrix import shared_ledger_errors
 
 N_ENTRIES = 512
 ALLOCATORS = {
@@ -233,56 +234,64 @@ def test_system_end_state_reconciles(faulted):
         )
 
 
-@pytest.mark.parametrize("flat_state", [False, True])
-def test_residency_accounting_reconciles(flat_state):
-    """The O(1) resident counter, the residency bitmap, the resident_map,
-    and a full page-dict scan must always agree, and the frame-pool
-    charge ledger must balance — on both LRU representations."""
-    from repro.workloads.batch import chunk_stream
-
-    machine = Machine(seed=5)
-    system, app, vma = build_system(machine, flat_state=flat_state)
-    stream = chunk_stream(sequential_accesses(vma, 6000, write=True))
-    proc = spawn_app(system, app, [stream], batched=True)
-    run_to_completion(machine.engine, [proc])
+def _shared_corun(system="linux", shared=True, touch_shared=True, seed=5):
+    machine = Machine(seed=seed)
+    swap, apps, streams = build_shared_corun(
+        machine, system, shared=shared, touch_shared=touch_shared
+    )
+    procs = [spawn_app(swap, apps[name], [streams[name]]) for name in apps]
+    run_to_completion(machine.engine, procs)
     machine.engine.run(until=machine.engine.now + 200_000)
+    return swap, apps
 
-    assert app.finished_at_us is not None
-    space = app.space
-    by_dict = sum(1 for p in space.pages.values() if p.resident)
-    by_map = sum(1 for p in space.resident_map if p is not None)
-    by_bits = int(space.resident_bits.sum())
-    assert space.resident_pages == by_dict == by_map == by_bits
-    pool = app.pool
-    assert pool.stats.charges - pool.stats.uncharges == pool.used
-    if flat_state:
-        # Flat LRU classification covers exactly the LRU members, and
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_residency_accounting_reconciles(shared):
+    """The O(1) resident counter, the residency bitmap, the resident_map,
+    and a full page-dict scan must always agree in every space, and the
+    frame-pool charge ledger must balance — on a plain two-app co-run
+    and on one where both apps touch a shared region."""
+    system, apps = _shared_corun(shared=shared)
+    assert any(app.space.has_foreign_pages for app in apps.values()) == shared
+    for app in apps.values():
+        assert app.finished_at_us is not None
+        space = app.space
+        by_dict = sum(1 for p in space.pages.values() if p.resident)
+        by_map = sum(1 for p in space.resident_map if p is not None)
+        by_bits = int(space.resident_bits.sum())
+        assert space.resident_pages == by_dict == by_map == by_bits
+        pool = app.pool
+        assert pool.stats.charges - pool.stats.uncharges == pool.used
+        # The LRU classification covers exactly the LRU members, and
         # every page on the LRU is resident.
         on_lru = np.flatnonzero(space.lru_where != 0)
         assert len(app.lru) == len(on_lru)
         assert bool(space.resident_bits[on_lru].all())
+    assert shared_ledger_errors(system, apps) == []
 
 
 def test_flat_and_legacy_state_agree_end_to_end():
-    """Same seeded run on both representations: identical access/fault
-    counts, completion time, and final residency."""
-    from repro.workloads.batch import chunk_stream
-
+    """A shared mapping no access touches changes nothing: the same
+    seeded co-run with and without it gives identical access/fault
+    counts, completion times, and final residency, although the mapping
+    sends the second app's consume side effects and reclaim drains down
+    their per-page branches."""
     outcomes = {}
-    for flat_state in (False, True):
-        machine = Machine(seed=9)
-        system, app, vma = build_system(machine, flat_state=flat_state)
-        stream = chunk_stream(sequential_accesses(vma, 6000, write=True))
-        proc = spawn_app(system, app, [stream], batched=True)
-        run_to_completion(machine.engine, [proc])
-        machine.engine.run(until=machine.engine.now + 200_000)
-        outcomes[flat_state] = (
-            app.stats.accesses,
-            app.stats.faults,
-            app.stats.swapouts,
-            app.finished_at_us,
-            app.space.resident_pages,
-        )
+    for shared in (False, True):
+        system, apps = _shared_corun(shared=shared, touch_shared=False, seed=9)
+        assert apps["b"].space.has_foreign_pages == shared
+        outcomes[shared] = [
+            (
+                app.stats.accesses,
+                app.stats.faults,
+                app.stats.swapouts,
+                app.finished_at_us,
+                sum(
+                    p.resident for p in app.space.pages.values() if p.owner_name == name
+                ),
+            )
+            for name, app in sorted(apps.items())
+        ]
     assert outcomes[False] == outcomes[True]
 
 

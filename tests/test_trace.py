@@ -6,6 +6,7 @@ from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.harness.trace import FaultRecord, FaultTracer, load_trace, replay_streams
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
+from repro.workloads.batch import chunk_stream, flatten_batches
 
 
 def build(machine):
@@ -33,7 +34,7 @@ def run_scan(system, app, n=800):
         for i in range(n):
             yield (vpns[i % len(vpns)], False, 0.5)
 
-    proc = spawn_app(system, app, [stream()])
+    proc = spawn_app(system, app, [chunk_stream(stream())])
     run_to_completion(system.engine, [proc])
 
 
@@ -107,6 +108,6 @@ def test_replay_streams_compute_gaps_nonnegative():
         FaultRecord(21.0, "a", 0, 12, 5.0),  # overlaps previous stall
     ]
     (stream,) = replay_streams(records)
-    accesses = list(stream)
+    accesses = list(flatten_batches(stream))
     assert [a[0] for a in accesses] == [10, 11, 12]
     assert all(a[2] >= 0 for a in accesses)
