@@ -11,8 +11,9 @@ counterpart of ``test_fault_group_throughput``.  Two storms:
   average ~3 pages.
 * ``test_reclaim_drain`` — a partition shrink leaves kswapd a deep
   backlog of entry-kept clean pages (the Canvas adaptive-partitioning
-  story); each kswapd batch drains its victims in one revalidated
-  ``select_victims`` pass.
+  story); each kswapd batch pops its victims with one ``select_victims``
+  walk of the victim queue, which costs the entries it walks, not the
+  backlog's length.
 
 Every round of a storm must land on the same digest (the drain: the
 same stats, pool, and clock).  A traced run must also agree with the

@@ -1249,9 +1249,10 @@ class BaseSwapSystem:
     def _evict_many(self, app: AppContext, core_id: int, n: int) -> Generator:
         """Background reclaim: evict up to ``n`` LRU victims in rounds.
 
-        One generator drives kswapd's whole batch.  Each round drains
-        victims from the LRU in a single revalidated ``select_victims``
-        pass that *stops at the first page needing a writeback*
+        One generator drives kswapd's whole batch.  Each round pops
+        victims off the LRU with one ``select_victims`` call — a single
+        walk of the victim queue — that *stops at the first page needing
+        a writeback*
         (:func:`_needs_writeback`).  Everything up to and including that
         page's lock happens at one simulated instant with no yields, so
         selecting those victims up front is invisible; the writeback

@@ -15,6 +15,7 @@ is tested against.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Iterator, List, Optional
 
 import numpy as np
@@ -23,10 +24,6 @@ from repro.mem.page import Page
 from repro.obs.trace import LRU_DEMOTE, LRU_EPOCH
 
 __all__ = ["GenerationLRU"]
-
-#: Shared empty candidate queue (never mutated in place).
-_EMPTY_I64 = np.zeros(0, dtype=np.int64)
-
 
 #: Values of ``AddressSpace.lru_where``: not on the LRU, on the inactive
 #: list, on the active list.
@@ -97,12 +94,13 @@ class GenerationLRU:
     The payoff is the vectorized consume core: ``note_access_run``
     retires a whole run of promotions/refreshes as two vectorized
     scatters, where a linked structure pays a dict probe per access.
-    Reclaim keeps victim order as an append-fed candidate queue: every
+    Reclaim keeps victim order as one append-fed candidate queue: every
     transition into the inactive class takes a fresh stamp and appends
     its ``(stamp, vpn)`` entry, so the queue is sorted by construction
     and entries are revalidated (still inactive, stamp unchanged) at
     pop time — eviction never scans the whole array to find the
-    lowest-stamp inactive page.
+    lowest-stamp inactive page, and a drain costs the entries it walks,
+    not the queue's length.
 
     Epochs: when the stamp counter reaches ``epoch_limit`` the stamps of
     all on-LRU pages are renormalized to their ranks (an ``LRU_EPOCH``
@@ -110,10 +108,6 @@ class GenerationLRU:
     exists so the counter cannot grow without bound over arbitrarily
     long co-runs, and is test-settable to exercise the rollover.
     """
-
-    #: Queue remainders at or below this take the per-entry drain; the
-    #: vectorized drain's fixed gather cost only amortizes above it.
-    DRAIN_GATHER_MIN = 64
 
     def __init__(
         self,
@@ -128,23 +122,17 @@ class GenerationLRU:
         self._gen = 0
         #: Completed epoch renormalizations.
         self.epochs = 0
-        #: Pending eviction candidates: parallel stamp/VPN arrays in
-        #: ascending stamp order, consumed from ``_vq_pos``.  Entries
-        #: are revalidated at pop time; array storage lets the drain
-        #: revalidate the whole remainder in one vectorized pass.
-        self._vq_stamps: np.ndarray = _EMPTY_I64
-        self._vq_vpns: np.ndarray = _EMPTY_I64
+        #: Pending eviction candidates: parallel stamp/VPN sequences in
+        #: ascending stamp order, consumed from ``_vq_pos``.  Every
+        #: transition *into* the inactive class (insert, demote,
+        #: second-chance rotation) takes a fresh — monotonically
+        #: increasing — stamp, so appending at the back keeps the queue
+        #: sorted for free.  Stale entries (promoted, removed or rotated
+        #: pages) are dropped by pop-time revalidation.  ``array('q')``
+        #: keeps an entry at 8 bytes per field.
+        self._vq_stamps = array("q")
+        self._vq_vpns = array("q")
         self._vq_pos = 0
-        #: Append-fed queue segment.  Every transition *into* the
-        #: inactive class (insert, demote, second-chance rotation) takes
-        #: a fresh — monotonically increasing — stamp, so appending at
-        #: the tail keeps the whole queue in ascending stamp order for
-        #: free: eviction never needs a full-array scan to find the
-        #: lowest-stamp inactive page.  Stale entries (promoted or
-        #: removed pages) are dropped by pop-time revalidation, exactly
-        #: like the array segment's.
-        self._vq_tail_stamps: List[int] = []
-        self._vq_tail_vpns: List[int] = []
         #: True while the queue provably holds an entry for every
         #: inactive page at its current stamp.  Cleared when the append
         #: protocol is invalidated (epoch renormalization compacts the
@@ -192,14 +180,10 @@ class GenerationLRU:
         space.lru_stamp[on_lru[order]] = np.arange(len(on_lru), dtype=np.int64)
         old_gen = self._gen
         self._gen = len(on_lru)
-        # Queued stamps are stale now.  Drop both segments and mark the
-        # queue incomplete: appends pause until the next drain rebuilds
-        # it from the compacted stamps with one refill scan.
-        self._vq_stamps = _EMPTY_I64
-        self._vq_vpns = _EMPTY_I64
-        self._vq_pos = 0
-        self._vq_tail_stamps = []
-        self._vq_tail_vpns = []
+        # Queued stamps are stale now.  Drop the queue and mark it
+        # incomplete: appends pause until the next drain rebuilds it
+        # from the compacted stamps with one refill scan.
+        self._vq_clear()
         self._vq_complete = False
         self.epochs += 1
         if self.tracer is not None:
@@ -228,11 +212,11 @@ class GenerationLRU:
         space.lru_stamp[vpn] = stamp
         self._n_inactive += 1
         if self._vq_complete:
-            tail = self._vq_tail_vpns
-            tail.append(vpn)
-            self._vq_tail_stamps.append(stamp)
-            if len(tail) > (len(space.lru_where) << 2) and len(tail) > 8192:
-                self._vq_compact_tail()
+            queue = self._vq_vpns
+            queue.append(vpn)
+            self._vq_stamps.append(stamp)
+            if len(queue) > (len(space.lru_where) << 2) and len(queue) > 8192:
+                self._vq_compact()
 
     def note_access(self, page: Page) -> None:
         """Promote a referenced inactive page; refresh an active one."""
@@ -341,8 +325,8 @@ class GenerationLRU:
             if self._vq_complete:
                 # Queue the demoted page (skipped once a stamp take hits
                 # the epoch edge; the next drain's refill rebuilds).
-                self._vq_tail_stamps.append(stamp)
-                self._vq_tail_vpns.append(vpn)
+                self._vq_stamps.append(stamp)
+                self._vq_vpns.append(vpn)
         self._n_inactive += demoted
         self._n_active -= demoted
         if self.tracer is not None:
@@ -351,8 +335,8 @@ class GenerationLRU:
             )
         return demoted
 
-    def _refill_victim_queue(self) -> bool:
-        """Rebuild the queue from every inactive page; False when none.
+    def _refill_victim_queue(self) -> None:
+        """Rebuild the queue from every inactive page.
 
         Steady state never gets here: each transition into the inactive
         class appends its own queue entry, so the queue only empties
@@ -366,60 +350,67 @@ class GenerationLRU:
         """
         space = self.space
         inactive = np.flatnonzero(space.lru_where == LRU_INACTIVE)
-        if not len(inactive):
-            return False
         stamps = space.lru_stamp[inactive]
         order = np.argsort(stamps, kind="stable")
-        self._vq_stamps = stamps[order]
-        self._vq_vpns = inactive[order]
+        self._vq_stamps = array("q", stamps[order].tobytes())
+        vpns = inactive[order].astype(np.int64, copy=False)
+        self._vq_vpns = array("q", vpns.tobytes())
         self._vq_pos = 0
-        return True
 
-    def _vq_compact_tail(self) -> None:
-        """Drop stale append-segment entries (vectorized revalidation).
+    def _vq_clear(self) -> None:
+        self._vq_stamps = array("q")
+        self._vq_vpns = array("q")
+        self._vq_pos = 0
+
+    def _vq_compact(self) -> None:
+        """Drop the consumed prefix and stale entries (vectorized).
 
         Revalidation at pop time would skip them anyway; compaction just
-        bounds the segment's memory when a space inserts far more than
-        it evicts.  Surviving entries keep their relative (ascending
-        stamp) order, so drain results are unchanged.
+        bounds the queue's memory when a space inserts far more than it
+        evicts.  Surviving entries keep their relative (ascending stamp)
+        order, so drain results are unchanged.
         """
         space = self.space
-        stamps = np.asarray(self._vq_tail_stamps, dtype=np.int64)
-        vpns = np.asarray(self._vq_tail_vpns, dtype=np.int64)
+        pos = self._vq_pos
+        stamps = np.frombuffer(self._vq_stamps, dtype=np.int64)[pos:]
+        vpns = np.frombuffer(self._vq_vpns, dtype=np.int64)[pos:]
         keep = (space.lru_where[vpns] == LRU_INACTIVE) & (
             space.lru_stamp[vpns] == stamps
         )
-        self._vq_tail_stamps = stamps[keep].tolist()
-        self._vq_tail_vpns = vpns[keep].tolist()
-
-    def _vq_promote_tail(self) -> None:
-        """Move the append segment into the (exhausted) array segment."""
-        self._vq_stamps = np.asarray(self._vq_tail_stamps, dtype=np.int64)
-        self._vq_vpns = np.asarray(self._vq_tail_vpns, dtype=np.int64)
+        self._vq_stamps = array("q", stamps[keep].tobytes())
+        self._vq_vpns = array("q", vpns[keep].tobytes())
         self._vq_pos = 0
-        self._vq_tail_stamps = []
-        self._vq_tail_vpns = []
 
-    def _drain_segment_scalar(self) -> Optional[Page]:
-        """Per-entry array-segment drain: revalidate, rotate, pop.
+    def _drain(
+        self, need: int, out: List[Page], stop: Optional[Callable[[Page], bool]]
+    ) -> bool:
+        """Pop up to ``need`` victims into ``out`` in one queue walk.
 
-        Kept for shared-flag spaces (``page.referenced`` may live in a
-        foreign space's arrays), for drains that could cross the epoch
-        edge (the per-rotation ``_take_stamps(1)`` calls must be allowed
-        to renormalize mid-drain), and for short remainders where the
-        vectorized drain's gathers cost more than a few scalar pops.
+        Each entry is revalidated (still inactive, stamp unchanged).  A
+        referenced candidate gets its second chance: referenced cleared,
+        a fresh stamp, and a new entry at the back of the queue, so the
+        same walk revisits it after every older candidate — an
+        all-referenced queue converges exactly like the linked full
+        rotation (the first-rotated page, now lowest-stamped and clean,
+        wins).  An unreferenced candidate is popped.
+
+        Returns True once the batch is done: ``need`` victims popped, or
+        ``stop`` flagged the last one.  Returns False when the queue is
+        walked empty (it is cleared) or when a rotation's stamp
+        renormalized the epoch, which drops the queue and marks it
+        incomplete; either way ``select_victims`` decides what follows.
+        ``stop`` must not mutate the LRU.
         """
         space = self.space
         where = space.lru_where
         stamp_arr = space.lru_stamp
         pages = space.pages
-        vq_stamps = self._vq_stamps
-        vq_vpns = self._vq_vpns
-        n = len(vq_vpns)
+        stamps = self._vq_stamps
+        vpns = self._vq_vpns
         pos = self._vq_pos
-        while pos < n:
-            stamp = vq_stamps[pos]
-            vpn = int(vq_vpns[pos])
+        while pos < len(vpns):
+            stamp = stamps[pos]
+            vpn = vpns[pos]
             pos += 1
             if where[vpn] != LRU_INACTIVE or stamp_arr[vpn] != stamp:
                 continue  # promoted, removed, or rotated since queued
@@ -429,140 +420,22 @@ class GenerationLRU:
                 fresh = self._take_stamps(1)
                 stamp_arr[vpn] = fresh  # rotate to head
                 if not self._vq_complete:
-                    # The rotation renormalized the epoch and replaced
-                    # the queue; the rest of this snapshot is stale and
-                    # the next drain rebuilds from the compacted stamps.
-                    return None
-                self._vq_tail_stamps.append(fresh)
-                self._vq_tail_vpns.append(vpn)
+                    return False  # renormalized: the queue was dropped
+                stamps.append(fresh)
+                vpns.append(vpn)
                 continue
             where[vpn] = LRU_NONE
             self._n_inactive -= 1
-            self._vq_pos = pos
-            return page
-        self._vq_pos = pos
-        return None
-
-    def _drain_segment_multi(
-        self, need: int, out: List[Page], stop: Optional[Callable[[Page], bool]]
-    ) -> bool:
-        """Pop up to ``need`` victims off the array segment in one pass.
-
-        One gather revalidates the whole remainder, one referenced
-        gather classifies the live candidates, and every consumed
-        referenced candidate batch-rotates with consecutive stamps in
-        queue order — exactly the stamps a per-entry walk's
-        ``_take_stamps(1)`` calls would assign, because victims take no
-        stamps and rotations are stamped in encounter order either way
-        (a VPN can appear twice in the queue, but stamps are never
-        reused within an epoch, so at most one of its entries
-        validates).  Candidates beyond the last consumed victim are left
-        untouched: their rotations have not happened yet.  Returns True
-        when ``stop`` ended the batch.  Only sound at a single simulated
-        instant: the caller must not yield between pops (LRU state
-        frozen), which is what the ``stop`` predicate guarantees for the
-        reclaim path.
-        """
-        pos = self._vq_pos
-        vq_vpns = self._vq_vpns
-        n = len(vq_vpns)
-        if pos >= n or need <= 0:
-            return False
-        space = self.space
-        if (
-            n - pos <= self.DRAIN_GATHER_MIN
-            or space.has_foreign_pages
-            or self._gen + (n - pos) > self.epoch_limit
-        ):
-            # Shared-flag spaces, drains that could cross the epoch
-            # edge, and short remainders take the per-entry loop.
-            while need > 0:
-                page = self._drain_segment_scalar()
-                if page is None:
-                    return False
-                out.append(page)
-                need -= 1
-                if stop is not None and stop(page):
-                    return True
-            return False
-        where = space.lru_where
-        stamp_arr = space.lru_stamp
-        vpns = vq_vpns[pos:]
-        live = np.flatnonzero(
-            (where[vpns] == LRU_INACTIVE) & (stamp_arr[vpns] == self._vq_stamps[pos:])
-        )
-        if not len(live):  # every entry promoted/removed/rotated away
-            self._vq_pos = n
-            return False
-        referenced = space.referenced_bits[vpns[live]]
-        unref = np.flatnonzero(~referenced)
-        if not len(unref):
-            # All live candidates are referenced: rotate them all and
-            # report the segment drained (the rotations re-queue them).
-            rotated = vpns[live]
-            space.referenced_bits[rotated] = False
-            start = self._take_stamps(len(rotated))
-            stamp_arr[rotated] = np.arange(
-                start, start + len(rotated), dtype=np.int64
-            )
-            self._vq_tail_stamps.extend(range(start, start + len(rotated)))
-            self._vq_tail_vpns.extend(rotated.tolist())
-            self._vq_pos = n
-            return False
-        pages = space.pages
-        # Walk the evictable candidates in queue order, applying the stop
-        # predicate exactly where the serial selector would.  Rotations
-        # do not change dirty bits or swap entries and earlier pops never
-        # alter later candidates' predicate inputs, so evaluating the
-        # predicate before the batched scatters below is order-exact.
-        take = 0
-        stopped = False
-        last_u = int(unref[0])
-        for u in unref.tolist():
-            page = pages[int(vpns[live[u]])]
             out.append(page)
-            take += 1
-            last_u = u
-            if stop is not None and stop(page):
-                stopped = True
-                break
-            if take >= need:
-                break
-        consumed = live[: last_u + 1]
-        rot_mask = np.ones(last_u + 1, dtype=bool)
-        rot_mask[unref[:take]] = False
-        rotated = vpns[consumed[rot_mask]]
-        if len(rotated):
-            space.referenced_bits[rotated] = False
-            start = self._take_stamps(len(rotated))
-            stamp_arr[rotated] = np.arange(
-                start, start + len(rotated), dtype=np.int64
-            )
-            self._vq_tail_stamps.extend(range(start, start + len(rotated)))
-            self._vq_tail_vpns.extend(rotated.tolist())
-        where[vpns[live[unref[:take]]]] = LRU_NONE
-        self._n_inactive -= take
-        self._vq_pos = pos + int(live[last_u]) + 1
-        return stopped
-
-
-    def _pop_after_balance(self) -> Optional[Page]:
-        """Age the active list, then pop the lowest-stamp inactive page.
-
-        The empty-inactive-set fallback: the freshly demoted pages arrive
-        with referenced cleared, so the pop is unconditional (exactly the
-        linked structure's ``balance()`` + ``pop_tail``).
-        """
-        self.balance()
-        space = self.space
-        where = space.lru_where
-        inactive = np.flatnonzero(where == LRU_INACTIVE)
-        if not len(inactive):
-            return None
-        vpn = int(inactive[np.argmin(space.lru_stamp[inactive])])
-        where[vpn] = LRU_NONE
-        self._n_inactive -= 1
-        return space.pages[vpn]
+            need -= 1
+            if not need or (stop is not None and stop(page)):
+                if pos < len(vpns):
+                    self._vq_pos = pos
+                else:
+                    self._vq_clear()
+                return True
+        self._vq_clear()
+        return False
 
     def select_victims(
         self, n: int, stop: Optional[Callable[[Page], bool]] = None
@@ -574,17 +447,16 @@ class GenerationLRU:
         of evicted.  Victims come off the append-fed candidate queue —
         new stamps are always higher than queued ones, so the queue
         front, revalidated against promotion/removal/rotation, is always
-        the current lowest-stamp inactive page.  The array segment drains
-        first, then the append segment is promoted behind it; rotations
-        re-queue through the append segment, so an all-referenced queue
-        converges exactly like the linked full rotation (the
-        first-rotated page, now lowest-stamped and clean, wins).
+        the current lowest-stamp inactive page.
 
         An incomplete queue (fresh LRU, or an epoch renormalization —
         possibly one a rotation in this very call triggered) is rebuilt
-        with one exhaustive refill scan before draining on.  Only an
-        empty complete queue means an empty inactive set; then the
-        active list is aged and its oldest demoted page taken.
+        with one exhaustive refill scan before draining on.  Only a
+        complete queue walked empty means an empty inactive set; then
+        the active list is aged, and its demoted pages arrive on the
+        queue with referenced cleared, so the next walk pops the oldest.
+        The call ends early when aging demotes nothing (the LRU is
+        empty).
 
         ``n`` victims from one call equal ``n`` calls of
         ``select_victims(1)`` with no LRU mutation in between.  When
@@ -600,20 +472,8 @@ class GenerationLRU:
                 # moment it returns.
                 self._vq_complete = True
                 self._refill_victim_queue()
-            before = len(victims)
-            if self._drain_segment_multi(n - before, victims, stop):
+            if self._drain(n - len(victims), victims, stop):
                 break
-            if len(victims) > before:
-                continue
-            if self._vq_pos >= len(self._vq_vpns) and self._vq_tail_vpns:
-                self._vq_promote_tail()
-                continue
-            if not self._vq_complete:
-                continue  # a rotation renormalized mid-drain: rebuild
-            page = self._pop_after_balance()
-            if page is None:
-                break
-            victims.append(page)
-            if stop is not None and stop(page):
+            if self._vq_complete and not self.balance():
                 break
         return victims

@@ -364,11 +364,11 @@ def test_generation_lru_matches_linked_on_random_ops(seed, epoch_limit):
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 @pytest.mark.parametrize("epoch_limit", [1 << 62, 1009])
 def test_generation_lru_matches_linked_on_a_large_space(seed, epoch_limit):
-    """The same property on a space whose victim-queue remainders exceed
-    ``DRAIN_GATHER_MIN``, with multi-victim draws: this reaches the
-    vectorized drain, its batched second-chance rotations, and — with
-    the small epoch limit — rotations that renormalize mid-drain and
-    force a queue rebuild."""
+    """The same property on a space whose victim queue holds hundreds of
+    entries, with multi-victim draws: one queue walk pops several
+    victims and rotates referenced candidates on the way, and — with
+    the small epoch limit — rotations renormalize mid-walk and force a
+    queue rebuild."""
     mirror = _random_ops_match(seed, 256, epoch_limit, n_ops=2000, max_batch=8)
     if epoch_limit == 1009:
         assert mirror.flat.epochs > 0
@@ -378,10 +378,11 @@ def test_generation_lru_matches_linked_on_a_large_space(seed, epoch_limit):
 def test_generation_lru_all_referenced_drain_matches_linked(epoch_limit):
     """A full inactive list with every page referenced: the first draw
     rotates the whole queue before it finds a victim.  With no epoch
-    edge in reach that is the vectorized all-referenced rotation; with
-    the edge 44 stamps away a rotation renormalizes mid-drain and the
-    queue is rebuilt inside the same draw.  Victims and end state match
-    the linked structure's full rotation either way."""
+    edge in reach the walk revisits the rotated entries it appended and
+    pops the first-rotated page; with the edge 44 stamps away a rotation
+    renormalizes mid-walk and the queue is rebuilt inside the same draw.
+    Victims and end state match the linked structure's full rotation
+    either way."""
     mirror = _Mirror(256, epoch_limit=epoch_limit)
     for vpn in mirror.vpns:
         mirror.insert(vpn)
@@ -394,6 +395,55 @@ def test_generation_lru_all_referenced_drain_matches_linked(epoch_limit):
     while mirror.select_victims(16):
         pass
     assert len(mirror.flat) == 0
+
+
+@pytest.mark.parametrize("epoch_limit", [1 << 62, 23_300])
+def test_generation_lru_queue_compaction_matches_linked(monkeypatch, epoch_limit):
+    """A space that inserts far more than it evicts: the victim queue
+    outgrows four times the space and compacts away its consumed prefix
+    and stale entries.  A few ops later the queue is drawn to empty, and
+    every victim must still match the linked structure.  The small epoch
+    limit puts the edge 24 stamps into that draw, so the compacted queue
+    is dropped and rebuilt mid-drain."""
+    rng = random.Random(11)
+    mirror = _Mirror(64, epoch_limit=epoch_limit)
+    for vpn in mirror.vpns[:32]:
+        mirror.insert(vpn)
+    mirror.select_victim()  # the queue is complete from here on
+    compactions = []
+    compact = mirror.flat._vq_compact
+
+    def spy():
+        compactions.append(len(mirror.flat._vq_vpns))
+        compact()
+
+    monkeypatch.setattr(mirror.flat, "_vq_compact", spy)
+    ops_left = 60_000
+    while ops_left:
+        ops_left -= 1
+        roll = rng.random()
+        on = set(mirror.on_lru)
+        off = [vpn for vpn in mirror.vpns if vpn not in on]
+        if roll < 0.45 and off:
+            mirror.insert(rng.choice(off))
+        elif roll < 0.75 and mirror.on_lru:
+            vpn = rng.choice(mirror.on_lru)
+            assert mirror.flat.discard(mirror.flat_pages[vpn])
+            assert mirror.linked.discard(mirror.linked_pages[vpn])
+            mirror.on_lru.remove(vpn)
+        elif roll < 0.9 and mirror.on_lru:
+            mirror.note_access(rng.choice(mirror.on_lru))
+        elif mirror.on_lru:
+            mirror.set_referenced(rng.choice(mirror.on_lru))
+        if compactions and ops_left > 64:
+            ops_left = 64  # draw while compacted entries are still live
+    assert compactions, "the victim queue never compacted"
+    assert mirror.flat.epochs == 0
+    mirror.check_state()
+    while mirror.select_victim() is not None:
+        pass
+    assert len(mirror.flat) == 0
+    assert (mirror.flat.epochs > 0) == (epoch_limit == 23_300)
 
 
 def test_generation_lru_epoch_rollover_preserves_order():
