@@ -36,8 +36,8 @@ from repro.harness.parallel import default_worker_count, run_experiments_paralle
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.15"))
 
 #: ``REPRO_PROFILE=1`` attaches one shared simulation profiler to every
-#: experiment a benchmark session runs and prints the per-subsystem
-#: wall-clock attribution in the terminal summary.  Profiled runs bypass
+#: experiment a benchmark session runs and prints the per-layer host
+#: time in the terminal summary.  Profiled runs bypass
 #: the caches and the parallel prewarm (a cache hit or a worker process
 #: would leave nothing to measure); simulated results are unchanged.
 PROFILE = os.environ.get("REPRO_PROFILE", "") not in ("", "0")

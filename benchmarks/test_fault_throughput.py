@@ -31,8 +31,9 @@ fault storm (local memory at 10%, see ``test_fault_group_throughput``),
 with linux+leap roughly unchanged (~1.05x) — all interleaved
 median-of-ratios A/B against the pre-PR tree, digests identical.  Each
 test also re-runs its configuration with the simulation profiler
-attached and asserts digest equality — profiled and unprofiled slow
-paths must produce bit-identical simulations.
+attached and asserts digest equality.  The profiler only wraps the run
+in cProfile, so the profiled run executes the same slow path (the NIC's
+doorbell drain included) and must produce a bit-identical simulation.
 """
 
 from _common import print_header

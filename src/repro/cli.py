@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_cmd = sub.add_parser(
         "profile",
-        help="run one experiment with the simulation profiler and print "
-        "per-subsystem wall-clock attribution",
+        help="run one experiment under the simulation profiler and print "
+        "host time per simulator layer",
     )
     _add_common(profile_cmd)
     profile_cmd.add_argument(

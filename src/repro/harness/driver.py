@@ -17,7 +17,6 @@ depend on where a stream's batch boundaries fall.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Generator, Iterable, Iterator
 
 from repro.kernel.cgroup import AppContext
@@ -36,7 +35,6 @@ def drive_thread(
     thread_id: int,
     batches,
     cpu_flush_us: float = 25.0,
-    profiler=None,
 ) -> Generator:
     """Run one application thread's batched access stream to completion.
 
@@ -47,17 +45,13 @@ def drive_thread(
     count per access O(1/batch) instead of O(1).  Every fault is
     admitted through ``handle_fault_group``, which resolves the whole
     run of consecutive non-resident accesses and returns the first index
-    it did not consume.  A profiler, when attached, times the consume
-    core and the fault groups without changing either.
+    it did not consume.  The driver carries no profiling code: a
+    profiled run executes exactly this loop, under cProfile.
     """
     pending_cpu = 0.0
     consume = system.consume_batch
     fault_group = system.handle_fault_group
     execute = app.cores.execute
-    if profiler is not None:
-        batches = profiler.timed_iter("stream_gen", iter(batches))
-        consume = partial(consume, profiler=profiler)
-        fault_group = profiler.timed_generator_fn("fault_path", fault_group)
     for batch in batches:
         n = len(batch)
         i = 0
@@ -93,7 +87,6 @@ def spawn_app(
     app: AppContext,
     thread_streams: Iterable[Iterator],
     cpu_flush_us: float = 25.0,
-    profiler=None,
 ):
     """Spawn one process per thread stream; returns the joined process.
 
@@ -109,7 +102,7 @@ def spawn_app(
         app.started_at_us = engine.now
         threads = [
             engine.spawn(
-                drive_thread(system, app, thread_id, stream, cpu_flush_us, profiler),
+                drive_thread(system, app, thread_id, stream, cpu_flush_us),
                 name=f"{app.name}.t{thread_id}",
             )
             for thread_id, stream in enumerate(thread_streams)

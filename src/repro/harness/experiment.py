@@ -312,11 +312,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Build the machine + system + apps, run to completion, summarize.
 
-    ``profiler`` (a :class:`repro.metrics.SimProfiler`) opts into
-    wall-clock attribution; it never changes simulated results.
+    ``profiler`` (a :class:`repro.metrics.SimProfiler`) runs the engine
+    under cProfile and folds its host time into per-layer seconds; the
+    simulation runs the same code either way, so results never change.
     """
-    from time import perf_counter
-
     from repro.rdma.nic import DEFAULT_BANDWIDTH_BYTES_PER_US
 
     bandwidth = DEFAULT_BANDWIDTH_BYTES_PER_US * config.bandwidth_scale
@@ -347,8 +346,6 @@ def run_experiment(
 
     system = _build_system(machine, config, total_remote)
     is_canvas = isinstance(system, CanvasSwapSystem)
-    if profiler is not None:
-        machine.nic.profiler = profiler
     # The rack attaches before any app registers: Canvas adopts each
     # per-cgroup partition in _setup_app, and the linux-family shared
     # partition is adopted here.  It also precedes the tracer attach so
@@ -404,13 +401,7 @@ def run_experiment(
         stream_rng = machine.rng.child(workload.name).stream("streams")
         streams = workload.thread_batch_streams(app, stream_rng)
         processes.append(
-            spawn_app(
-                system,
-                app,
-                streams,
-                cpu_flush_us=config.cpu_flush_us,
-                profiler=profiler,
-            )
+            spawn_app(system, app, streams, cpu_flush_us=config.cpu_flush_us)
         )
         apps[workload.name] = app
 
@@ -425,13 +416,13 @@ def run_experiment(
             64, sum(app.pool.capacity_pages for app in apps.values())
         )
 
-    wall_start = perf_counter()
-    elapsed = run_to_completion(machine.engine, processes, limit_us=config.limit_us)
-    if profiler is not None:
-        profiler.record_run(
-            perf_counter() - wall_start,
-            sum(app.stats.accesses for app in apps.values()),
+    if profiler is None:
+        elapsed = run_to_completion(machine.engine, processes, limit_us=config.limit_us)
+    else:
+        elapsed = profiler.run(
+            run_to_completion, machine.engine, processes, limit_us=config.limit_us
         )
+        profiler.accesses += sum(app.stats.accesses for app in apps.values())
     return ExperimentResult(machine, system, apps, elapsed, trace=tracer, rack=rack)
 
 

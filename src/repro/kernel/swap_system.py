@@ -24,7 +24,6 @@ completes and drops the page.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Dict, Generator, List, Optional
 
 import numpy as np
@@ -537,7 +536,6 @@ class BaseSwapSystem:
         start: int,
         pending_cpu: float,
         flush_us: float,
-        profiler=None,
     ):
         """Consume a run of resident accesses from ``batch[start:]``.
 
@@ -566,12 +564,9 @@ class BaseSwapSystem:
         page's flags live in its home space's arrays, and the LRU
         promote skips pages this app's LRU does not hold.
 
-        With a ``profiler`` attached, classification/clock advance and
-        LRU/page maintenance are timed into its ``fast_path`` and ``lru``
-        sections; returns and side effects are unchanged.
+        A profiled run charges this method to the ``kernel.consume``
+        layer from outside, under cProfile; it carries no timers.
         """
-        if profiler is not None:
-            t0 = perf_counter()
         space = app.space
         n = len(batch)
         if start >= n:  # defensive: driver never calls on an exhausted batch
@@ -593,8 +588,6 @@ class BaseSwapSystem:
             first_cpu = cpu if cpu is not None else float(batch.cpu_array[start])
             pending_cpu = pending_cpu + first_cpu
             app.stats.accesses += 1
-            if profiler is not None:
-                profiler.add("fast_path", perf_counter() - t0)
             return start, pending_cpu, BATCH_FAULT
         v = varr[start:]
         res = resident_bits[v]
@@ -634,9 +627,6 @@ class BaseSwapSystem:
             end = n
             pending_cpu = float(acc[-1])
             outcome = BATCH_END
-        if profiler is not None:
-            t1 = perf_counter()
-            profiler.add("fast_path", t1 - t0)
         # Side effects for the resident run [start, end): referenced +
         # timestamp scatters, bulk LRU promote (duplicate VPNs resolve
         # last-write-wins, matching sequential per-access stamping), and
@@ -665,8 +655,6 @@ class BaseSwapSystem:
         app.stats.accesses += run_len + (1 if outcome == BATCH_FAULT else 0)
         if tr is not None:
             tr.emit(BATCH_EXIT, app.name, 0, run_len, outcome)
-        if profiler is not None:
-            profiler.add("lru", perf_counter() - t1)
         return end, pending_cpu, outcome
 
     # ------------------------------------------------------------------

@@ -1,44 +1,111 @@
-"""Opt-in simulation profiler: wall-clock attribution per subsystem.
+"""Opt-in simulation profiler: host time per simulator layer.
 
-Answers "where does the *simulator's* time go" (host ``perf_counter``
-seconds, not simulated microseconds), so fast-path changes are measured
-rather than asserted.  Sections:
+Answers "where does the *simulator's* time go" (host seconds, not
+simulated microseconds), so fast-path changes are measured rather than
+asserted.  ``run_experiment`` runs the engine under the standard
+library's :mod:`cProfile` while a profiler is attached and folds the
+per-function statistics into perfbench's layers plus ``sim.engine``:
 
-* ``stream_gen``  — producing workload access streams/batches,
-* ``fast_path``   — resident classification + CPU clock advance
-  (``consume_batch``),
-* ``lru``         — per-access page/LRU maintenance,
-* ``fault_path``  — the swap system's fault handler (its own execution
-  slices only; time blocked on simulated I/O is not wall time).  This
-  is the whole fault group, the CPU flushes between its members
-  included,
-* ``rdma``        — the RNIC model (dispatch selection + completions),
-* ``engine/other``— everything unattributed (event heap, callbacks,
-  kswapd, schedulers), computed as total wall minus the above.
+* :data:`LAYER_TABLE` owns code by module path under ``repro/``, with
+  function-name sets only where one file serves several layers.  A
+  function's own time goes to the layer that owns it.
+* A function the table does not own (``repro.mem``, telemetry, the swap
+  cache, numpy, the stdlib, builtins, ``<genexpr>``/``<lambda>`` code)
+  inherits from its callers: its own time under each caller, which
+  pstats records per call edge, is charged to that caller's layers.  An
+  unowned caller passes time on in proportion to the cumulative time of
+  its own incoming edges.
+* ``calls`` is the primitive call count of a layer's owned functions (a
+  generator counts once per resume).
 
-Profiling never changes simulated results — only wall-clock readings
-are taken.
+The simulator runs the same code with or without a profiler, so
+profiling never changes simulated results.  cProfile does slow the run
+(about 3.5x on a 3-app co-run) and weighs on many cheap calls most, so
+the ``sim.engine`` share reads a few points high.
 """
 
 from __future__ import annotations
 
+import os
 from time import perf_counter
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+import repro
 from repro.metrics.report import format_table
 
-__all__ = ["SimProfiler"]
+__all__ = ["LAYERS", "LAYER_TABLE", "SimProfiler", "layer_of"]
 
-#: Display order for known sections (unknown ones follow alphabetically).
-_SECTION_ORDER = ["stream_gen", "fast_path", "lru", "fault_path", "rdma"]
+#: perfbench's twelve layers (``perfbench/tracer.py``) plus the engine.
+LAYERS = (
+    "workloads", "harness.driver", "kernel.consume", "kernel.fault", "prefetch",
+    "kernel.reclaim", "swap.allocator", "rdma.nic", "core.rdma_sched",
+    "core.daemons", "kernel.lifecycle", "core.slo", "sim.engine",
+)
+
+#: ``(module, layer, function names)``, first match wins.  ``module`` is
+#: a file path under ``repro/`` or a package directory ending in ``/``;
+#: ``None`` names take every function of the module not named above.
+LAYER_TABLE = tuple(
+    (module, layer, frozenset(names.split()) if names else None)
+    for module, layer, names in (
+        ("sim/", "sim.engine", ""),
+        ("workloads/", "workloads", ""),
+        ("harness/driver.py", "harness.driver", ""),
+        ("kernel/swap_system.py", "kernel.consume", "consume_batch"),
+        ("kernel/swap_system.py", "kernel.lifecycle",
+         "register_app _setup_app prepopulate unregister_app _teardown_app"),
+        ("kernel/swap_system.py", "kernel.reclaim",
+         "_needs_writeback _obtain_writeback_entry _on_writeback_error "
+         "_evict_victim _evict_one _evict_many _on_writeback_complete "
+         "_shrink_cache_if_needed _kick_kswapd _kswapd_loop"),
+        ("kernel/swap_system.py", "prefetch",
+         "_issue_prefetches issue_prefetch_vpns _post_prefetch_hook "
+         "_inflight_prefetches _dec_inflight_prefetch"),
+        ("kernel/swap_system.py", "kernel.fault", ""),
+        ("core/canvas.py", "kernel.lifecycle",
+         "_setup_app prepopulate _teardown_app attach_runtime_handler"),
+        ("core/canvas.py", "kernel.reclaim", "_obtain_writeback_entry _on_evicted"),
+        ("core/canvas.py", "prefetch", "_post_prefetch_hook _on_prefetch_dropped"),
+        ("core/canvas.py", "kernel.fault", ""),
+        ("prefetch/", "prefetch", ""),
+        ("swap/allocator.py", "swap.allocator", ""),
+        ("core/adaptive_alloc.py", "core.daemons", "_scan_loop _scan_once"),
+        ("core/adaptive_alloc.py", "swap.allocator", ""),
+        ("rdma/nic.py", "rdma.nic", ""),
+        ("core/rdma_sched.py", "core.rdma_sched", ""),
+        ("kernel/userfaultfd.py", "core.daemons", ""),
+        ("core/rebalance.py", "core.daemons", ""),
+        ("core/slo.py", "core.slo", ""),
+    )
+)
+
+_REPRO_DIR = os.path.dirname(os.path.abspath(repro.__file__)) + os.sep
+
+
+def layer_of(module: str, name: str) -> Optional[str]:
+    """The layer that owns function ``name`` of ``repro/<module>``, if any."""
+    if name.startswith("<"):
+        return None
+    for path, layer, names in LAYER_TABLE:
+        if (module == path or (path.endswith("/") and module.startswith(path))) and (
+            names is None or name in names
+        ):
+            return layer
+    return None
+
+
+def _owner(func) -> Optional[str]:
+    filename, _line, name = func
+    module = filename[len(_REPRO_DIR):].replace(os.sep, "/")
+    return layer_of(module, name) if filename.startswith(_REPRO_DIR) else None
 
 
 class SimProfiler:
-    """Accumulates wall-clock seconds per simulator subsystem."""
+    """Accumulates host seconds and calls per simulator layer."""
 
     def __init__(self) -> None:
-        self.sections: Dict[str, float] = {}
-        self.counts: Dict[str, int] = {}
+        self.sections: Dict[str, float] = dict.fromkeys(LAYERS, 0.0)
+        self.calls: Dict[str, int] = dict.fromkeys(LAYERS, 0)
         #: Total wall seconds of profiled simulation runs.
         self.wall_seconds = 0.0
         #: Total simulated accesses across profiled runs.
@@ -46,100 +113,78 @@ class SimProfiler:
         #: Profiled experiment runs folded into this profile.
         self.runs = 0
 
-    # -- recording -------------------------------------------------------
+    def run(self, fn, *args, **kwargs):
+        """Call ``fn`` under cProfile and fold the run into the totals."""
+        # Imported here so an unprofiled process never loads them.
+        import cProfile
+        import pstats
 
-    def add(self, section: str, seconds: float, count: int = 1) -> None:
-        self.sections[section] = self.sections.get(section, 0.0) + seconds
-        self.counts[section] = self.counts.get(section, 0) + count
-
-    def timed_iter(self, section: str, iterator: Iterator) -> Iterator:
-        """Wrap an iterator, attributing time spent inside ``next()``."""
-        while True:
-            t0 = perf_counter()
-            try:
-                item = next(iterator)
-            except StopIteration:
-                self.add(section, perf_counter() - t0)
-                return
-            self.add(section, perf_counter() - t0)
-            yield item
-
-    def timed_generator_fn(self, section: str, fn):
-        """Wrap a generator function, timing only its execution slices.
-
-        The wrapped generator is resumed and suspended exactly like the
-        original, so yield sequences (and simulated results) are
-        untouched; time the generator spends *suspended* (blocked on
-        simulated I/O) is not attributed.
-        """
-
-        def wrapper(*args, **kwargs):
-            gen = fn(*args, **kwargs)
-            t0 = perf_counter()
-            try:
-                item = gen.send(None)
-                self.add(section, perf_counter() - t0)
-                while True:
-                    try:
-                        received = yield item
-                    except BaseException as exc:  # forward throws faithfully
-                        t0 = perf_counter()
-                        item = gen.throw(exc)
-                    else:
-                        t0 = perf_counter()
-                        item = gen.send(received)
-                    self.add(section, perf_counter() - t0)
-            except StopIteration as stop:
-                self.add(section, perf_counter() - t0)
-                return stop.value
-
-        return wrapper
-
-    def record_run(self, wall_seconds: float, accesses: int) -> None:
-        """Fold one profiled experiment run into the totals."""
-        self.wall_seconds += wall_seconds
-        self.accesses += accesses
+        profile = cProfile.Profile()
+        start = perf_counter()
+        result = profile.runcall(fn, *args, **kwargs)
+        self.wall_seconds += perf_counter() - start
         self.runs += 1
+        self._fold(pstats.Stats(profile).stats)
+        return result
+
+    def _fold(self, stats) -> None:
+        owner = {func: _owner(func) for func in stats}
+        shares = {func: {layer: 1.0} for func, layer in owner.items() if layer}
+
+        def share(func) -> Dict[str, float]:
+            """``func``'s split over layers: its own, or its callers' mix."""
+            if func not in shares:
+                # An edge back into a function still being resolved adds nothing.
+                shares[func] = {}
+                mix = dict.fromkeys(LAYERS, 0.0)
+                for caller, edge in stats[func][4].items():
+                    if caller != func:
+                        for layer, part in share(caller).items():
+                            mix[layer] += edge[3] * part
+                total = sum(mix.values())
+                shares[func] = {k: w / total for k, w in mix.items() if w > 0}
+            return shares[func]
+
+        for func, (cc, _nc, tt, _ct, callers) in stats.items():
+            if owner[func] is not None:
+                self.sections[owner[func]] += tt
+                self.calls[owner[func]] += cc
+                continue
+            for caller, edge in callers.items():
+                for layer, part in share(caller).items():
+                    self.sections[layer] += edge[2] * part
 
     # -- reporting -------------------------------------------------------
 
     @property
-    def attributed_seconds(self) -> float:
-        return sum(self.sections.values())
-
-    @property
-    def other_seconds(self) -> float:
-        return max(0.0, self.wall_seconds - self.attributed_seconds)
+    def unattributed_seconds(self) -> float:
+        return max(0.0, self.wall_seconds - sum(self.sections.values()))
 
     def rows(self) -> List[Tuple[str, float, int]]:
-        """(section, seconds, count) rows, known sections first."""
-        ordered = [s for s in _SECTION_ORDER if s in self.sections]
-        ordered += sorted(set(self.sections) - set(_SECTION_ORDER))
-        rows = [(s, self.sections[s], self.counts.get(s, 0)) for s in ordered]
-        rows.append(("engine/other", self.other_seconds, 0))
-        return rows
+        """(layer, seconds, calls) rows in layer order, then ``unattributed``."""
+        rows = [(layer, self.sections[layer], self.calls[layer]) for layer in LAYERS]
+        return rows + [("unattributed", self.unattributed_seconds, 0)]
 
     def format(self) -> str:
-        total = self.wall_seconds or self.attributed_seconds
-        table_rows = []
-        for section, seconds, count in self.rows():
-            share = 100.0 * seconds / total if total > 0 else 0.0
-            table_rows.append(
-                [section, f"{seconds:.3f}", f"{share:.1f}%", count or ""]
-            )
-        table = format_table(["section", "wall (s)", "share", "calls"], table_rows)
-        lines = [table]
-        if self.wall_seconds > 0:
-            rate = self.accesses / self.wall_seconds if self.accesses else 0.0
-            lines.append(
-                f"total: {self.wall_seconds:.3f}s wall over {self.runs} run(s), "
-                f"{self.accesses} accesses ({rate / 1e3:.1f}k accesses/s)"
-            )
-        return "\n".join(lines)
+        total = self.wall_seconds or 1.0
+        table = format_table(
+            ["layer", "wall (s)", "share", "calls"],
+            [
+                [layer, f"{seconds:.3f}", f"{100.0 * seconds / total:.1f}%", calls or ""]
+                for layer, seconds, calls in self.rows()
+            ],
+        )
+        return (
+            f"{table}\ntotal: {self.wall_seconds:.3f}s wall under cProfile over "
+            f"{self.runs} run(s), {self.accesses} accesses "
+            f"({self.accesses / total / 1e3:.1f}k accesses/s)"
+        )
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "sections": dict(self.sections),
+            "calls": dict(self.calls),
+            "unattributed_seconds": self.unattributed_seconds,
             "wall_seconds": self.wall_seconds,
             "accesses": self.accesses,
             "runs": self.runs,

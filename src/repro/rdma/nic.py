@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.obs.trace import (
@@ -174,9 +173,6 @@ class RNIC:
         self.base_latency_us = base_latency_us
         self.verb_overhead_us = verb_overhead_us
         self.stats = NicStats()
-        #: Optional SimProfiler; when set, dispatch selection and
-        #: completion callbacks are attributed to the "rdma" section.
-        self.profiler = None
         #: Optional :class:`repro.faults.FaultPlan`.  When None (the
         #: default) the dispatch loop takes the exact pre-fault code
         #: path; every injection site is gated on this attribute.
@@ -313,12 +309,7 @@ class RNIC:
         channel = self.read_channel if op is RdmaOp.READ else self.write_channel
         park = self._park_events[op]
         while True:
-            if self.profiler is not None:
-                t0 = perf_counter()
-                request = self._select(op)
-                self.profiler.add("rdma", perf_counter() - t0)
-            else:
-                request = self._select(op)
+            request = self._select(op)
             if request is None:
                 self._wakeups[op] = park
                 yield park
@@ -391,10 +382,9 @@ class RNIC:
             # wake_j = now_j + (release_j - now_j), completion at
             # wake_j + base (call_at_exact avoids call_after's relative
             # round-trip).  Gated off under tracing (QP_SERVE must carry
-            # real serve times) and profiling (attribution per serve);
-            # rack-attached serves returned above (the per-server
-            # channel mirror is inherently per-transfer).
-            if self.tracer is None and self.profiler is None:
+            # real serve times); rack-attached serves returned above (the
+            # per-server channel mirror is inherently per-transfer).
+            if self.tracer is None:
                 groups = self._groups[op]
                 head = groups[0] if groups else None
                 if head is not None and len(head) == 1:
@@ -542,14 +532,6 @@ class RNIC:
         self.submit(qp, request)
 
     def _complete(self, request: RdmaRequest) -> None:
-        if self.profiler is not None:
-            t0 = perf_counter()
-            self._complete_inner(request)
-            self.profiler.add("rdma", perf_counter() - t0)
-            return
-        self._complete_inner(request)
-
-    def _complete_inner(self, request: RdmaRequest) -> None:
         request.completed_at_us = self.engine.now
         stats = self.stats
         if self.tracer is not None:

@@ -113,9 +113,10 @@ def test_run_to_completion_respects_limit():
 
 
 def test_profiled_run_admits_faults_through_groups(monkeypatch):
-    """A profiled run takes the production fault path — every fault goes
-    through ``handle_fault_group`` — and reproduces the unprofiled
-    golden digest."""
+    """A profiled run takes the production path: every fault goes
+    through ``handle_fault_group``, the NIC drains doorbell runs exactly
+    as an unprofiled run does, and the unprofiled golden digest
+    reproduces."""
     from repro.harness.experiment import ExperimentConfig, run_experiment
     from repro.harness.results import result_digest
     from repro.metrics.profiler import SimProfiler
@@ -123,12 +124,17 @@ def test_profiled_run_admits_faults_through_groups(monkeypatch):
     from tests.golden import golden
     from tests.golden.matrix import system_key
 
+    config = ExperimentConfig(system="canvas", scale=0.03, seed=11)
+    plain = run_experiment(["memcached"], config).machine.nic.stats
     sizes = record_group_sizes(monkeypatch)
     profiler = SimProfiler()
-    config = ExperimentConfig(system="canvas", scale=0.03, seed=11)
     result = run_experiment(["memcached"], config, profiler=profiler)
     faults = sum(r.stats.faults for r in result.results.values())
     assert faults > 0
     assert sum(sizes["fault"]) == faults
-    assert profiler.sections.get("fault_path", 0.0) > 0.0
+    nic = result.machine.nic.stats
+    assert plain.drain_batches > 0 and plain.drained_serves > 0
+    assert nic.drain_batches == plain.drain_batches
+    assert nic.drained_serves == plain.drained_serves
+    assert profiler.sections["kernel.fault"] > 0.0
     assert result_digest(result) == golden(system_key("canvas"))

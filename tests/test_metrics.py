@@ -357,3 +357,67 @@ def test_histogram_mixed_add_paths_keep_algorithm_r_uniform():
     # the tolerance is ~5 sigma for Bernoulli(1/16) inclusions.
     expected = trials * cap / 10.0
     assert np.all(np.abs(deciles - expected) < 0.12 * expected), deciles
+
+
+# -- SimProfiler layer table ------------------------------------------------
+
+
+def _defined_functions(path):
+    import ast
+
+    tree = ast.parse(path.read_text())
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+def test_profiler_layer_table_matches_the_source():
+    """Every entry of the profiler's layer table names a real module and
+    real functions, no function has two owners, and every layer is one
+    of perfbench's (plus ``sim.engine``).  A rename that left the table
+    behind would silently move host time to the callers' layers."""
+    from pathlib import Path
+
+    import repro
+    from perfbench.tracer import LAYERS as BENCH_LAYERS
+    from repro.metrics.profiler import LAYER_TABLE, LAYERS, layer_of
+
+    assert LAYERS == tuple(BENCH_LAYERS) + ("sim.engine",)
+    root = Path(repro.__file__).parent
+    modules = {
+        path.relative_to(root).as_posix(): _defined_functions(path)
+        for path in root.rglob("*.py")
+    }
+
+    def matches(table_path, module):
+        if table_path.endswith("/"):
+            return module.startswith(table_path)
+        return module == table_path
+
+    for table_path, layer, names in LAYER_TABLE:
+        assert layer in LAYERS, (table_path, layer)
+        covered = [module for module in modules if matches(table_path, module)]
+        assert covered, f"{table_path} matches no module under repro/"
+        if names is not None:
+            missing = names - modules[table_path]
+            assert not missing, f"{table_path} defines no {sorted(missing)}"
+
+    for module, functions in modules.items():
+        for name in functions:
+            named = [
+                (path, layer)
+                for path, layer, names in LAYER_TABLE
+                if names is not None and name in names and matches(path, module)
+            ]
+            named_paths = {path for path, _ in named}
+            rest = [
+                (path, layer)
+                for path, layer, names in LAYER_TABLE
+                if names is None and matches(path, module) and path not in named_paths
+            ]
+            owners = named + rest
+            assert len(owners) <= 1, f"{module}:{name} has owners {owners}"
+            expected = owners[0][1] if owners else None
+            assert layer_of(module, name) == expected, (module, name)

@@ -239,6 +239,14 @@ def test_batched_digest_unaffected_by_profiler():
     assert profiler.accesses == sum(
         profiled.results[name].stats.accesses for name in GROUP
     )
+    # The fold leaves (almost) nothing unattributed, gives the engine its
+    # own row, and counts the same work on every run.
+    assert profiler.unattributed_seconds < 0.1 * profiler.wall_seconds
+    assert "sim.engine" in [layer for layer, _s, _c in profiler.rows()]
+    assert profiler.calls["sim.engine"] > 0
+    again = SimProfiler()
+    run_experiment(GROUP, tiny("canvas"), profiler=again)
+    assert again.calls == profiler.calls
 
 
 def test_flat_consume_core_matches_scan_core(monkeypatch):
