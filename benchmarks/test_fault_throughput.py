@@ -24,8 +24,9 @@ checked-in baseline.  When the slow-path overhaul landed, the canvas
 configuration measured 1.67x faults/sec over the previous slow path
 (interleaved min-of-mins: 0.564s -> 0.338s per run) and linux+leap
 1.36x, with every simulated number bit-identical.  The grouped-admission
-pass (PR 7: coalesced fault groups, doorbell-batched submission, the
-append-fed LRU victim queue, and assorted hot-path micro-work) measured
+pass (coalesced fault groups, doorbell-batched submission since
+retired, the append-fed LRU victim queue, and assorted hot-path
+micro-work) measured
 a further ~1.25x on this canvas configuration and ~1.38x under a denser
 fault storm (local memory at 10%, see ``test_fault_group_throughput``),
 with linux+leap roughly unchanged (~1.05x) — all interleaved
@@ -33,7 +34,7 @@ median-of-ratios A/B against the pre-PR tree, digests identical.  Each
 test also re-runs its configuration with the simulation profiler
 attached and asserts digest equality.  The profiler only wraps the run
 in cProfile, so the profiled run executes the same slow path (the NIC's
-doorbell drain included) and must produce a bit-identical simulation.
+dispatch drain included) and must produce a bit-identical simulation.
 """
 
 from _common import print_header

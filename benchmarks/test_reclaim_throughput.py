@@ -2,7 +2,7 @@
 
 Not paper figures — the harness micro-benchmarks guarding the reclaim
 egress pipeline (``_evict_many``: batched victim selection, one
-per-victim eviction body, doorbell-deferred writebacks), the write-side
+per-victim eviction body, writebacks submitted as built), the write-side
 counterpart of ``test_fault_group_throughput``.  Two storms:
 
 * ``test_reclaim_storm`` — the end-to-end co-run under steady memory

@@ -60,18 +60,10 @@ class FastswapSystem(LinuxSwapSystem):
         self.sync_qp = self.read_qp
         self.async_qp = nic.create_qp(f"{name}.async", RdmaOp.READ, priority=1)
 
-    def _submit_read(self, app: AppContext, request: RdmaRequest) -> None:
-        if request.kind is RequestKind.DEMAND:
+    def _submit(self, app: AppContext, request: RdmaRequest) -> None:
+        if request.op is RdmaOp.WRITE:
+            self.nic.submit(self.write_qp, request)
+        elif request.kind is RequestKind.DEMAND:
             self.nic.submit(self.sync_qp, request)
         else:
             self.nic.submit(self.async_qp, request)
-
-    def _submit_read_many(self, app: AppContext, requests) -> None:
-        # Split the run across the sync/async QPs; per-QP FIFO order is
-        # what dispatch sees, so stable partitioning is exact.
-        demands = [r for r in requests if r.kind is RequestKind.DEMAND]
-        others = [r for r in requests if r.kind is not RequestKind.DEMAND]
-        if demands:
-            self.nic.submit_many(self.sync_qp, demands)
-        if others:
-            self.nic.submit_many(self.async_qp, others)

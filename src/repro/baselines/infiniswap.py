@@ -22,7 +22,7 @@ from repro.kernel.cgroup import AppContext
 from repro.kernel.swap_system import LinuxSwapSystem, SwapSystemConfig
 from repro.kernel.telemetry import Telemetry
 from repro.prefetch.base import Prefetcher
-from repro.rdma.message import RdmaRequest
+from repro.rdma.message import RdmaOp, RdmaRequest
 from repro.rdma.nic import RNIC
 from repro.sim.engine import Engine
 
@@ -63,28 +63,10 @@ class InfiniswapSystem(LinuxSwapSystem):
     def supports(self, workload_name: str) -> bool:
         return workload_name not in self.UNSUPPORTED
 
-    def _submit_read(self, app: AppContext, request: RdmaRequest) -> None:
+    def _submit(self, app: AppContext, request: RdmaRequest) -> None:
+        # Every bio pays its own block-layer cost before the verb posts.
         request.enqueued_at_us = self.engine.now  # include block-layer time
+        qp = self.read_qp if request.op is RdmaOp.READ else self.write_qp
         self.engine.call_after(
-            self.block_layer_overhead_us,
-            lambda: self.nic.submit(self.read_qp, request),
+            self.block_layer_overhead_us, lambda: self.nic.submit(qp, request)
         )
-
-    def _submit_read_many(self, app: AppContext, requests) -> None:
-        # No doorbell batching through the block layer: each bio pays its
-        # own submission cost, so keep the base per-request loop.
-        for request in requests:
-            self._submit_read(app, request)
-
-    def _submit_write(self, app: AppContext, request: RdmaRequest) -> None:
-        request.enqueued_at_us = self.engine.now
-        self.engine.call_after(
-            self.block_layer_overhead_us,
-            lambda: self.nic.submit(self.write_qp, request),
-        )
-
-    def _submit_write_many(self, app: AppContext, requests) -> None:
-        # As with reads: every bio pays its own block-layer submission
-        # cost, so the write doorbell stays per-request here.
-        for request in requests:
-            self._submit_write(app, request)

@@ -301,19 +301,8 @@ class CanvasSwapSystem(BaseSwapSystem):
     def _prefetcher_for(self, app: AppContext) -> Prefetcher:
         return self._state[app.name].prefetcher
 
-    def _submit_read(self, app: AppContext, request: RdmaRequest) -> None:
+    def _submit(self, app: AppContext, request: RdmaRequest) -> None:
         self.scheduler.submit(app.name, request)
-
-    def _submit_read_many(self, app, requests) -> None:
-        self.scheduler.submit_many(app.name, requests)
-
-    def _submit_write(self, app: AppContext, request: RdmaRequest) -> None:
-        self.scheduler.submit(app.name, request)
-
-    def _submit_write_many(self, app, requests) -> None:
-        # Grouped reclaim's egress doorbell: one VQP push and one write
-        # kick for the round's writebacks, mirroring _submit_read_many.
-        self.scheduler.submit_many(app.name, requests)
 
     def _obtain_writeback_entry(
         self, app: AppContext, page: Page, core_id: int
@@ -422,7 +411,7 @@ class CanvasSwapSystem(BaseSwapSystem):
         self._inflight_req[page] = demand
         if self.trace is not None:
             self.trace.emit(DEMAND_ISSUE, app.name, 0, page.vpn, demand.request_id)
-        self._submit_read(app, demand)
+        self._submit(app, demand)
         yield new_event
 
     def _on_prefetch_dropped(self, request: RdmaRequest) -> None:

@@ -166,25 +166,6 @@ class TwoDimensionalScheduler:
         else:
             self._kick_write()
 
-    def submit_many(self, app_name: str, requests) -> None:
-        """Doorbell twin of ``submit``: one VQP pass, one kick per op.
-
-        Per-request kicks after the first were no-ops anyway (the park
-        event latches), so forwarding order and timing are unchanged.
-        """
-        if not requests:
-            return
-        self._apps[app_name].vqp.push_many(requests)
-        kicked_read = kicked_write = False
-        for request in requests:
-            if request.op is RdmaOp.READ:
-                if not kicked_read:
-                    self._kick_read()
-                    kicked_read = True
-            elif not kicked_write:
-                self._kick_write()
-                kicked_write = True
-
     # -- timeliness --------------------------------------------------------
 
     def timeout_threshold_us(self, app_name: str) -> float:

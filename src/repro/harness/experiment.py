@@ -136,12 +136,12 @@ class ExperimentConfig:
     trace_capacity: int = 2_000_000
     #: Open-loop traffic model (see :mod:`repro.workloads.traffic`):
     #: sessions arrive, run, and unregister on a seeded curve.  Only
-    #: :func:`run_churn` reads it; ``None`` (or ``run_experiment``)
-    #: keeps the fixed-roster path byte-identical to before.
+    #: :func:`run_churn` reads it; ``run_experiment`` rejects it.
     traffic: Optional[TrafficConfig] = None
     #: SLO feedback loop (see :mod:`repro.core.slo`): p99 demand-fault
     #: latency steered back into scheduler weights and the adaptive
-    #: allocator.  ``None`` runs without a controller.
+    #: allocator.  ``None`` runs without a controller.  Only
+    #: :func:`run_churn` runs one; ``run_experiment`` rejects it.
     slo: Optional[SloConfig] = None
 
     def cores_for(self, workload: Workload) -> int:
@@ -187,7 +187,6 @@ class ExperimentResult:
         self.telemetry = machine.telemetry
         self.results: Dict[str, AppResult] = {}
         for name, app in apps.items():
-            cache_stats = self._cache_stats_for(system, app)
             issued = app.stats.prefetches_issued
             self.results[name] = AppResult(
                 name=name,
@@ -198,13 +197,6 @@ class ExperimentResult:
                     app.stats.prefetch_cache_hits / issued if issued > 0 else 0.0
                 ),
             )
-
-    @staticmethod
-    def _cache_stats_for(system: BaseSwapSystem, app: AppContext):
-        try:
-            return system._private_cache(app).stats
-        except (KeyError, NotImplementedError):  # pragma: no cover
-            return None
 
     def completion_time(self, name: str) -> float:
         return self.results[name].completion_time_us
@@ -315,7 +307,14 @@ def run_experiment(
     ``profiler`` (a :class:`repro.metrics.SimProfiler`) runs the engine
     under cProfile and folds its host time into per-layer seconds; the
     simulation runs the same code either way, so results never change.
+    Open-loop traffic and the SLO loop run only under :func:`run_churn`,
+    so a config carrying either is rejected here rather than ignored.
     """
+    for field_name in ("traffic", "slo"):
+        if getattr(config, field_name) is not None:
+            raise ValueError(
+                f"run_experiment cannot run config.{field_name}; use run_churn"
+            )
     from repro.rdma.nic import DEFAULT_BANDWIDTH_BYTES_PER_US
 
     bandwidth = DEFAULT_BANDWIDTH_BYTES_PER_US * config.bandwidth_scale

@@ -124,7 +124,8 @@ def _needs_writeback(page: Page) -> bool:
     LRU mutation can land between those pops.  That first writeback
     member yields in entry allocation, after which the LRU may have been
     mutated by concurrent faults, so victims beyond it must be selected
-    after the yield: ``select_victims`` cuts the batch here.
+    after the yield: ``select_victims`` cuts the batch here, so a round
+    holds at most one writeback, its last victim.
     """
     return page.dirty or page.swap_entry is None
 
@@ -218,42 +219,13 @@ class BaseSwapSystem:
     def _prefetcher_for(self, app: AppContext) -> Prefetcher:
         raise NotImplementedError
 
-    def _submit_read(self, app: AppContext, request: RdmaRequest) -> None:
-        raise NotImplementedError
+    def _submit(self, app: AppContext, request: RdmaRequest) -> None:
+        """Post one request on the path its op and kind select.
 
-    def _submit_read_many(
-        self, app: AppContext, requests: List[RdmaRequest]
-    ) -> None:
-        """Doorbell hook: submit a batch of reads queued at one instant.
-
-        Base behaviour is one submit per request; systems with a batched
-        enqueue (Linux → ``RNIC.submit_many``, Canvas → the scheduler's
-        ``submit_many``) override this to ring one doorbell.  Callers
-        must only batch requests acquired within one atomic section (no
-        intervening yields), which is what makes the deferral invisible.
+        The one submission hook: each policy routes reads, prefetches
+        and writebacks to its own queues.
         """
-        for request in requests:
-            self._submit_read(app, request)
-
-    def _submit_write(self, app: AppContext, request: RdmaRequest) -> None:
         raise NotImplementedError
-
-    def _submit_write_many(
-        self, app: AppContext, requests: List[RdmaRequest]
-    ) -> None:
-        """Doorbell hook: submit a batch of writes queued at one instant.
-
-        The egress counterpart of :meth:`_submit_read_many`, used by
-        background reclaim to flush each round's deferred writebacks
-        with one NIC kick.  The same atomic-section contract applies:
-        all requests must have been acquired with no intervening yields,
-        and the flush must happen before the caller's next yield so the
-        kick keeps its FIFO position in the engine's immediate lane.  Fault
-        verdicts stay per-request inside the NIC/scheduler, so batched
-        submission cannot blur writeback-error handling.
-        """
-        for request in requests:
-            self._submit_write(app, request)
 
     # ------------------------------------------------------------------
     # Request pooling
@@ -806,7 +778,7 @@ class BaseSwapSystem:
             entry.timestamp_us = None
             if tr is not None:
                 tr.emit(DEMAND_ISSUE, app.name, thread_id, vpn, request.request_id)
-            self._submit_read(app, request)
+            self._submit(app, request)
             self._issue_prefetches(app, thread_id, vpn)
             if tr is not None:
                 tr.emit(FAULT_PARK, app.name, thread_id, vpn)
@@ -968,7 +940,7 @@ class BaseSwapSystem:
         # The page keeps its frame charge, cache slot, and lock; waiters
         # stay parked on the same in-flight event until the retry lands.
         entry.timestamp_us = None
-        self._submit_read(app, retry)
+        self._submit(app, retry)
 
     def _cancel_prefetch(self, app: AppContext, request: RdmaRequest) -> None:
         """Unwind a failed prefetch completely (mirrors a scheduler drop)."""
@@ -1025,7 +997,7 @@ class BaseSwapSystem:
         )
         retry.kernel_retries = retries
         self._inflight_req[page] = retry
-        self._submit_write(app, retry)
+        self._submit(app, retry)
 
     # ------------------------------------------------------------------
     # Prefetching
@@ -1070,7 +1042,6 @@ class BaseSwapSystem:
         cache_cap = self._private_cache(app).capacity_pages
         limit = min(self.config.max_inflight_prefetches, max(8, cache_cap // 2))
         budget = limit - self._inflight_prefetches(app)
-        to_submit: List[RdmaRequest] = []
         page_or_none = app.space.page_or_none
         for vpn in vpns:
             if budget <= 0:
@@ -1089,13 +1060,7 @@ class BaseSwapSystem:
                 # "When memory runs low, the kernel releases existing
                 # pages from the swap cache to make room for newly
                 # fetched pages" (§2): recycle old clean cache pages
-                # (typically stale prefetches) before giving up.  The
-                # pending doorbell flushes first so the NIC kick keeps
-                # its serial FIFO position ahead of the kswapd kick in
-                # the engine's immediate lane.
-                if to_submit:
-                    self._submit_read_many(app, to_submit)
-                    to_submit = []
+                # (typically stale prefetches) before giving up.
                 self._shrink_cache_if_needed(app, force_min=2)
                 self._kick_kswapd(app)
                 if not app.pool.try_charge(1):
@@ -1115,17 +1080,11 @@ class BaseSwapSystem:
             self._inflight_req[page] = request
             if self.trace is not None:
                 self.trace.emit(PF_ISSUE, app.name, 0, vpn, request.request_id)
-            # Submission is deferred to one doorbell after the loop: the
-            # whole pass runs at a single instant with no yields, so the
-            # NIC sees the same queue contents in the same order and the
-            # wakeup it schedules lands identically.
-            to_submit.append(request)
+            self._submit(app, request)
             issued += 1
             budget -= 1
             app.stats.prefetches_issued += 1
             app.inflight_prefetches += 1
-        if to_submit:
-            self._submit_read_many(app, to_submit)
         self._shrink_cache_if_needed(app)
         return issued
 
@@ -1228,7 +1187,7 @@ class BaseSwapSystem:
             return False
         request = yield from self._evict_victim(app, victims[0], core_id, core_id)
         if request is not None:
-            self._submit_write(app, request)
+            self._submit(app, request)
             # Wait on the request's own completion, not the page's
             # in-flight event: a rescue may detach the latter.
             yield request.completion
@@ -1246,11 +1205,8 @@ class BaseSwapSystem:
         selecting those victims up front is invisible; the writeback
         member then yields in entry allocation, and victims after it are
         selected after the yield — hence a new round.  Per round at most
-        one write request exists; its NIC submit is deferred past the
-        round's remaining host-side accounting and flushed through
-        :meth:`_submit_write_many` before the next round's allocation
-        yield, so the doorbell keeps its FIFO position in the engine's
-        immediate lane.
+        one write request exists, the round's last victim's, and it is
+        submitted as soon as :meth:`_evict_victim` builds it.
 
         Trace records land on thread lane ``RECLAIM_LANE`` so the
         ``reclaim-group-pairing`` lint can count this group's EVICTs
@@ -1265,16 +1221,13 @@ class BaseSwapSystem:
             victims = app.lru.select_victims(n - evicted, stop=_needs_writeback)
             if not victims:
                 break
-            to_submit: List[RdmaRequest] = []
             for victim in victims:
                 request = yield from self._evict_victim(
                     app, victim, core_id, RECLAIM_LANE
                 )
                 if request is not None:
-                    to_submit.append(request)
+                    self._submit(app, request)
             evicted += len(victims)
-            if to_submit:
-                self._submit_write_many(app, to_submit)
         if tr is not None:
             tr.emit(RECLAIM_GROUP_END, app.name, RECLAIM_LANE, 0, evicted)
         return evicted
@@ -1426,18 +1379,8 @@ class LinuxSwapSystem(BaseSwapSystem):
     def _prefetcher_for(self, app: AppContext) -> Prefetcher:
         return self.prefetcher
 
-    def _submit_read(self, app: AppContext, request: RdmaRequest) -> None:
-        self.nic.submit(self.read_qp, request)
-
-    def _submit_read_many(
-        self, app: AppContext, requests: List[RdmaRequest]
-    ) -> None:
-        self.nic.submit_many(self.read_qp, requests)
-
-    def _submit_write(self, app: AppContext, request: RdmaRequest) -> None:
-        self.nic.submit(self.write_qp, request)
-
-    def _submit_write_many(
-        self, app: AppContext, requests: List[RdmaRequest]
-    ) -> None:
-        self.nic.submit_many(self.write_qp, requests)
+    def _submit(self, app: AppContext, request: RdmaRequest) -> None:
+        if request.op is RdmaOp.READ:
+            self.nic.submit(self.read_qp, request)
+        else:
+            self.nic.submit(self.write_qp, request)

@@ -144,12 +144,10 @@ class NicStats:
     #: CQE, no wire time) and completed migration transfers.
     dead_target_errors: int = 0
     rehome_completed: int = 0
-    #: Doorbell batching: multi-request submissions (one kick per run)
-    #: and drained serves (requests whose service/completion times were
+    #: Drained serves: requests whose service/completion times were
     #: computed arithmetically inside one dispatch wakeup instead of a
-    #: per-WQE generator re-entry).  Host-cost accounting only — never
+    #: per-WQE generator re-entry.  Host-cost accounting only — never
     #: part of a result digest.
-    doorbells: int = 0
     drain_batches: int = 0
     drained_serves: int = 0
 
@@ -248,34 +246,6 @@ class RNIC:
             )
         qp.push(request)
         self._kick(request.op)
-
-    def submit_many(self, qp: PhysicalQP, requests: List[RdmaRequest]) -> None:
-        """Doorbell batching: post a run of requests with a single kick.
-
-        Equivalent to ``submit`` per request — same stamps, same trace
-        records, same FIFO order — except the dispatcher is woken once
-        for the whole run.  The per-request kicks it replaces were
-        no-ops after the first anyway (the wakeup event latches), so
-        the dispatch schedule is unchanged; only the Python call count
-        drops.  All requests must share one op (one QP implies that).
-        """
-        if not requests:
-            return
-        now = self.engine.now
-        tr = self.tracer
-        queue = qp._queue
-        for request in requests:
-            if request.enqueued_at_us is None:
-                request.enqueued_at_us = now
-            if tr is not None:
-                tr.emit(
-                    QP_ENQ, request.app_name, 0, request.request_id,
-                    request.kind.value,
-                )
-            queue.append(request)
-        qp.enqueued_total += len(requests)
-        self.stats.doorbells += 1
-        self._kick(requests[0].op)
 
     def _kick(self, op: RdmaOp) -> None:
         wakeup = self._wakeups[op]

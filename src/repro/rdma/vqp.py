@@ -69,31 +69,6 @@ class VirtualQP:
         if request.kernel_retries:
             self.retried_total += 1
 
-    def push_many(self, requests) -> None:
-        """Application side: enqueue a run of requests with one call.
-
-        Same stamps and FIFO order as ``push`` per request; the swap
-        system batches a fault group's submissions through here so the
-        scheduler is kicked once per run instead of once per page.
-        """
-        now = self.engine.now
-        demand_q = self.demand_q
-        prefetch_q = self.prefetch_q
-        swapout_q = self.swapout_q
-        for request in requests:
-            request.enqueued_at_us = now
-            kind = request.kind
-            if kind is RequestKind.DEMAND:
-                demand_q.append(request)
-            elif kind is RequestKind.PREFETCH:
-                request.entry.timestamp_us = now
-                prefetch_q.append(request)
-            else:
-                swapout_q.append(request)
-            if request.kernel_retries:
-                self.retried_total += 1
-        self.pushed_total += len(requests)
-
     def pop(self, kind: RequestKind) -> Optional[RdmaRequest]:
         """Scheduler side: dequeue the oldest request of ``kind``.
 

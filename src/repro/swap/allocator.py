@@ -123,26 +123,6 @@ class EntryAllocator:
         """Simulation sub-generator: yields until an entry is obtained."""
         raise NotImplementedError
 
-    def allocate_many(self, n: int, core_id: int = 0) -> Generator:
-        """Batched allocate: ``n`` entries through one sub-generator.
-
-        Serial-exact by contract: the batch charges exactly the sum of
-        the per-entry simulated scan/lock times, performs the same lock
-        acquisitions in the same order, and returns the same entries in
-        the same order as ``n`` back-to-back :meth:`allocate` calls —
-        including per-entry ``stats.record`` timestamps, so allocator
-        statistics are bit-identical (pinned by the seeded A/B property
-        suite in ``tests/test_allocator_batch.py``).  It is the serial
-        loop, so every policy is batch-callable and exact by
-        construction.  Partition exhaustion raises mid-batch exactly
-        where the serial loop would.
-        """
-        entries: List[SwapEntry] = []
-        for _ in range(n):
-            entry = yield from self.allocate(core_id)
-            entries.append(entry)
-        return entries
-
     def take_free_untimed(self) -> SwapEntry:
         """Grab an entry outside simulated time (experiment setup only)."""
         entry = self.partition.pop_free()

@@ -115,10 +115,8 @@ def writeback_error_run():
 
 def writeback_error_digest(machine, app) -> str:
     """Digest over the unwind's app stats, finish time, final clock, and
-    wire-visible NIC stats (``doorbells`` counts host-side submission
-    batching, which no simulated number depends on)."""
+    NIC stats."""
     nic = dataclasses.asdict(machine.nic.stats)
-    nic.pop("doorbells")
     parts = (
         sorted(dataclasses.asdict(app.stats).items()),
         app.finished_at_us,

@@ -47,10 +47,16 @@ def test_fastswap_splits_demand_and_prefetch_qps():
         RdmaOp.READ, RequestKind.PREFETCH, "a", part.pop_free(),
         completion=machine.engine.event(),
     )
-    system._submit_read(app, demand)
-    system._submit_read(app, prefetch)
+    write = RdmaRequest(
+        RdmaOp.WRITE, RequestKind.SWAPOUT, "a", part.pop_free(),
+        completion=machine.engine.event(),
+    )
+    system._submit(app, demand)
+    system._submit(app, prefetch)
+    system._submit(app, write)
     assert system.sync_qp.enqueued_total == 1
     assert system.async_qp.enqueued_total == 1
+    assert system.write_qp.enqueued_total == 1
 
 
 def test_fastswap_runs_workload():
@@ -81,6 +87,26 @@ def test_infiniswap_adds_block_layer_latency():
         solo_latencies["InfiniswapSystem"]
         > solo_latencies["FastswapSystem"] + 2.0
     )
+
+
+def test_infiniswap_write_waits_out_the_block_layer():
+    from repro.rdma.message import RdmaOp, RdmaRequest
+
+    machine = Machine(seed=7)
+    system, app = build(machine, InfiniswapSystem)
+    engine = machine.engine
+    start = engine.now
+    write = RdmaRequest(
+        RdmaOp.WRITE, RequestKind.SWAPOUT, "a", system.partition.pop_free(),
+        completion=engine.event(),
+    )
+    system._submit(app, write)
+    assert write.enqueued_at_us == start  # block-layer time counts
+    engine.run(until=start + system.block_layer_overhead_us - 0.01)
+    assert system.write_qp.enqueued_total == 0
+    engine.run(until=start + system.block_layer_overhead_us + 0.01)
+    assert system.write_qp.enqueued_total == 1
+    assert system.read_qp.enqueued_total == 0
 
 
 def test_infiniswap_disables_entry_keeping():

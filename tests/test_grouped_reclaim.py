@@ -3,8 +3,9 @@
 ``_evict_many`` batches kswapd's eviction → entry-allocation → writeback
 egress pipeline: one generator per batch, one revalidated
 ``select_victims`` pass per round (cut at the first writeback-needing
-victim), and one write doorbell per round.  Each victim goes through the
-same per-victim body as direct reclaim's ``_evict_one``.
+victim), and the round's writeback submitted as soon as it is built.
+Each victim goes through the same per-victim body as direct reclaim's
+``_evict_one``.
 
 Layers:
 

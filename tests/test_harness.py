@@ -34,6 +34,16 @@ def test_unknown_prefetcher_rejected():
         run_individual("snappy", small(prefetcher="psychic"))
 
 
+@pytest.mark.parametrize("field_name", ["traffic", "slo"])
+def test_run_experiment_rejects_churn_only_fields(field_name):
+    from repro.core.slo import SloConfig
+    from repro.workloads.traffic import TrafficConfig
+
+    value = TrafficConfig() if field_name == "traffic" else SloConfig()
+    with pytest.raises(ValueError, match=f"config.{field_name}"):
+        run_experiment(["snappy"], small(system="canvas", **{field_name: value}))
+
+
 def test_cores_follow_paper_defaults():
     res = run_experiment(["spark_lr", "memcached", "snappy", "xgboost"], small())
     assert res.apps["spark_lr"].config.n_cores == 24

@@ -58,7 +58,7 @@ def test_writeback_rescue_remaps_page_under_writeback():
         request.completion.add_callback(
             lambda _evt, req=request: system._on_writeback_complete(app, req)
         )
-        system._submit_write(app, request)
+        system._submit(app, request)
         # Fault it back while the ~41 µs write is still on the wire.
         yield machine.engine.timeout(2.0)
         yield from system.handle_fault(app, 0, victim.vpn, True)

@@ -306,34 +306,7 @@ def test_sleep_until_rejects_the_past():
         eng.run()
 
 
-# -- Doorbell batching and the arithmetic drain --------------------------
-
-
-def test_submit_many_matches_serial_submits():
-    """One doorbell for a run == one submit per request, record for
-    record: same stamps, same FIFO order, same completion schedule."""
-
-    def run(batched):
-        eng = Engine()
-        nic = RNIC(eng)
-        qp = nic.create_qp("q", RdmaOp.READ)
-        part = SwapPartition("p", 32)
-        owner = FakeOwner()
-        requests = [pooled_request(eng, part, owner) for _ in range(6)]
-        if batched:
-            nic.submit_many(qp, requests)
-        else:
-            for request in requests:
-                nic.submit(qp, request)
-        eng.run()
-        return eng.now, owner.completed, nic.stats
-
-    serial_now, serial_done, serial_stats = run(batched=False)
-    batch_now, batch_done, batch_stats = run(batched=True)
-    assert batch_now == serial_now  # exact float identity
-    assert len(batch_done) == len(serial_done) == 6
-    assert batch_stats.reads_completed == serial_stats.reads_completed
-    assert batch_stats.doorbells == 1 and serial_stats.doorbells == 0
+# -- The arithmetic drain --------------------------
 
 
 def test_drain_is_bit_identical_to_per_wqe_serving():
@@ -351,7 +324,8 @@ def test_drain_is_bit_identical_to_per_wqe_serving():
         part = SwapPartition("p", 64)
         owner = FakeOwner()
         requests = [pooled_request(eng, part, owner) for _ in range(12)]
-        nic.submit_many(qp, requests)
+        for request in requests:
+            nic.submit(qp, request)
         eng.run()
         issued = [r.issued_at_us for r in requests]
         completed = [r.completed_at_us for r in requests]
@@ -374,7 +348,8 @@ def test_drain_stops_at_a_dropped_queued_request():
     part = SwapPartition("p", 32)
     owner = FakeOwner()
     requests = [pooled_request(eng, part, owner) for _ in range(4)]
-    nic.submit_many(qp, requests)
+    for request in requests:
+        nic.submit(qp, request)
     requests[2].dropped = True  # marked while queued, before dispatch
     eng.run()
     # The dropped member was peeled off by the drop-skip path, never
