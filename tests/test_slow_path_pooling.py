@@ -306,7 +306,7 @@ def test_sleep_until_rejects_the_past():
         eng.run()
 
 
-# -- The arithmetic drain --------------------------
+# -- The arithmetic drain ----------------------------------------------
 
 
 def test_drain_is_bit_identical_to_per_wqe_serving():
