@@ -3,11 +3,13 @@
 
 The library's workload interface is two methods: ``build`` maps regions
 into the app's address space (and describes the heap to the runtime
-model), ``thread_streams`` yields one ``(vpn, is_write, cpu_us)`` stream
-per thread; ``thread_batch_streams`` chunks those into the batches the
-driver consumes.  This example builds a "log-structured store": writers
-append to a sequential log while readers look up zipf-popular keys —
-and shows how Canvas's per-application prefetcher handles the mix.
+model), and ``thread_batch_streams`` returns one stream per thread of
+``AccessBatch`` chunks — numpy columns of ``(vpn, is_write, cpu_us)``
+accesses, the form the driver consumes.  The ``*_batches`` producers in
+``repro.workloads.patterns`` build such streams.  This example builds a
+"log-structured store": writers append to a sequential log while
+readers look up zipf-popular keys — and shows how Canvas's
+per-application prefetcher handles the mix.
 
 Run:  python examples/custom_workload.py
 """
@@ -20,7 +22,8 @@ from repro.core import CanvasSwapSystem
 from repro.harness import Machine, run_to_completion, spawn_app
 from repro.kernel import AppContext, CgroupConfig
 from repro.workloads import patterns
-from repro.workloads.base import Access, Workload
+from repro.workloads.base import Workload
+from repro.workloads.batch import AccessBatch
 
 
 class LogStructuredStore(Workload):
@@ -41,13 +44,13 @@ class LogStructuredStore(Workload):
         )
         self.attach_runtime(app)
 
-    def thread_streams(
+    def thread_batch_streams(
         self, app: AppContext, rng: np.random.Generator
-    ) -> List[Iterator[Access]]:
-        streams: List[Iterator[Access]] = []
+    ) -> List[Iterator[AccessBatch]]:
+        streams: List[Iterator[AccessBatch]] = []
         for writer in range(2):
             streams.append(
-                patterns.sequential(
+                patterns.sequential_batches(
                     self.log_vma,
                     self.accesses_per_thread,
                     write_ratio=1.0,
@@ -58,7 +61,7 @@ class LogStructuredStore(Workload):
         for _reader in range(4):
             child = np.random.default_rng(rng.integers(1 << 31))
             streams.append(
-                patterns.zipfian(
+                patterns.zipfian_batches(
                     self.index_vma,
                     self.accesses_per_thread,
                     child,

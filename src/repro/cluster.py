@@ -229,10 +229,8 @@ class Rack:
         self._stripe_cursor = 0
         self._locality_cursor = 0
         self._homes: Dict[str, int] = {}
-        #: Trace buffer; dual-named so pooled-request recycling (which
-        #: reads ``owner.trace``) and rack tracepoints share one attach.
+        #: Trace buffer for the rack tracepoints.
         self.tracer = None
-        self.trace = None
         #: Migration request pool (the rack is the requests' owner).
         self._request_pool: List[RdmaRequest] = []
         #: request_id -> (op, entry, write_entry_or_None, retries).

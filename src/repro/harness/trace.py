@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 from repro.kernel.swap_system import BaseSwapSystem
 from repro.workloads.batch import AccessBatch, chunk_stream
@@ -81,23 +81,29 @@ def load_trace(path) -> List[FaultRecord]:
 def replay_streams(
     records: List[FaultRecord], write: bool = False
 ) -> List[Iterator[AccessBatch]]:
-    """Turn a recorded trace back into per-thread batched access streams.
+    """Turn one app's recorded trace back into per-thread batched streams.
 
-    Each recorded fault becomes one access; the gap between consecutive
-    faults of the same thread (minus the recorded stall) becomes that
-    access's compute time, so replaying against a faster swap system
-    genuinely finishes sooner.
+    Stream ``k`` replays recorded thread ``k`` (a thread that took no
+    fault gets an empty stream), so thread ids — and with them the
+    runtime's app/GC thread roles — survive the replay.  Each recorded
+    fault becomes one access; the gap between consecutive faults of the
+    same thread (minus the recorded stall) becomes that access's compute
+    time, so replaying against a faster swap system genuinely finishes
+    sooner.
     """
-    per_thread: Dict[Tuple[str, int], List[FaultRecord]] = {}
+    if len({record.app for record in records}) > 1:
+        raise ValueError("replay_streams takes one app's records (see by_app)")
+    per_thread: Dict[int, List[FaultRecord]] = {}
     for record in records:
-        per_thread.setdefault((record.app, record.thread_id), []).append(record)
+        per_thread.setdefault(record.thread_id, []).append(record)
 
     def make_stream(thread_records: List[FaultRecord]):
         thread_records = sorted(thread_records, key=lambda r: r.time_us)
-        previous_end = thread_records[0].time_us
+        previous_end = thread_records[0].time_us if thread_records else 0.0
         for record in thread_records:
             compute = max(0.0, record.time_us - previous_end)
             previous_end = record.time_us + record.stall_us
             yield (record.vpn, write, compute)
 
-    return [chunk_stream(make_stream(chunk)) for chunk in per_thread.values()]
+    n_threads = max(per_thread, default=-1) + 1
+    return [chunk_stream(make_stream(per_thread.get(k, []))) for k in range(n_threads)]

@@ -195,7 +195,6 @@ class BaseSwapSystem:
         self._attach_tracer_extra(tracer)
         if self.rack is not None:
             self.rack.tracer = tracer
-            self.rack.trace = tracer
         for app in self.apps.values():
             app.lru.tracer = tracer
 

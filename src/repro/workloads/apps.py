@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.kernel.cgroup import AppContext
 from repro.workloads import patterns
-from repro.workloads.base import Access, Workload
+from repro.workloads.base import Workload
 from repro.workloads.batch import BATCH_SIZE, AccessBatch, emit_batches
 
 __all__ = [
@@ -352,10 +352,10 @@ class Neo4jWorkload(_ManagedWorkload):
         cold_chain = np.asarray(self.graph_chain)
 
         def traversal(child: np.random.Generator) -> Iterator[AccessBatch]:
-            # Vectorized transcription of the scalar walk: each step draws
-            # one uniform; a hot step advances the hot cursor (mod the hot
-            # core), a cold one the cold cursor (mod the whole chain), and
-            # cursor positions are running counts of steps of that kind.
+            # Each step draws one uniform; a hot step advances the hot
+            # cursor (mod the hot core), a cold one the cold cursor (mod
+            # the whole chain), and cursor positions are running counts of
+            # steps of that kind.
             hot = child.random(self.accesses_per_thread) < self.hot_probability
             hot_pos = np.cumsum(hot) % hot_len
             cold_pos = np.cumsum(~hot) % len(self.graph_chain)
@@ -450,36 +450,23 @@ class SnappyWorkload(Workload):
         self.output_vma = app.space.map_region(out_pages, name="output")
         self.attach_runtime(app)
 
-    # Snappy's reader/writer interleaving is inherently stateful, so it
-    # keeps the scalar protocol; the base class derives its batched
-    # stream through the generic chunk_stream fallback.
-    def thread_streams(
+    def thread_batch_streams(
         self, app: AppContext, rng: np.random.Generator
-    ) -> List[Iterator[Access]]:
-        n_out = self.accesses_per_thread // 4
-        n_in = self.accesses_per_thread - n_out
-        # Snappy compresses ~1 GB/s: roughly 4 µs of CPU per 4 KB page.
-        reader = patterns.sequential(self.input_vma, n_in, cpu_us=4.0)
-        writer = patterns.sequential(
-            self.output_vma, n_out, write_ratio=1.0, cpu_us=4.0
+    ) -> List[Iterator[AccessBatch]]:
+        # 3 input pages consumed per output page written: every fourth
+        # access is the next output page, and the n % 4 input pages left
+        # over after the last write close the stream.  Each region is
+        # scanned sequentially, wrapping around.
+        n = self.accesses_per_thread
+        n_out = n // 4
+        writes = np.zeros(n, dtype=bool)
+        writes[3 : 4 * n_out : 4] = True
+        position = np.arange(n)
+        reads = position - np.cumsum(writes)  # input pages read before
+        vpns = np.where(
+            writes,
+            self.output_vma.start_vpn + (position // 4) % self.output_vma.n_pages,
+            self.input_vma.start_vpn + reads % self.input_vma.n_pages,
         )
-
-        def compress() -> Iterator[Access]:
-            # 3 input pages consumed per output page written.
-            while True:
-                produced = False
-                for _ in range(3):
-                    try:
-                        yield next(reader)
-                        produced = True
-                    except StopIteration:
-                        break
-                try:
-                    yield next(writer)
-                    produced = True
-                except StopIteration:
-                    pass
-                if not produced:
-                    return
-
-        return [compress()]
+        # Snappy compresses ~1 GB/s: roughly 4 µs of CPU per 4 KB page.
+        return [emit_batches(vpns, writes, 4.0)]

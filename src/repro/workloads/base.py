@@ -2,8 +2,9 @@
 
 A :class:`Workload` describes one Table 2 application: how many threads
 it runs, how big its working set is, whether it is managed (JVM) or
-native, and — through :meth:`build` and :meth:`thread_streams` — the page
-regions it maps and the access stream each thread produces.
+native, and — through :meth:`build` and :meth:`thread_batch_streams` — the
+page regions it maps and the :class:`~repro.workloads.batch.AccessBatch`
+stream each thread produces.
 
 ``scale`` shrinks working sets and access counts together so experiments
 run at laptop scale; all paper-relevant ratios (local-memory fraction,
@@ -12,17 +13,15 @@ fault rates, thread counts) are scale-invariant.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 import numpy as np
 
 from repro.kernel.cgroup import AppContext
 from repro.runtime.jvm import JvmRuntime, NativeRuntime
-from repro.workloads.batch import AccessBatch, chunk_stream, flatten_batches
+from repro.workloads.batch import AccessBatch
 
 __all__ = ["Workload"]
-
-Access = Tuple[int, bool, float]
 
 
 class Workload:
@@ -52,32 +51,10 @@ class Workload:
         """Map regions into ``app.space`` and attach the runtime model."""
         raise NotImplementedError
 
-    def thread_streams(
-        self, app: AppContext, rng: np.random.Generator
-    ) -> List[Iterator[Access]]:
-        """One scalar access stream per thread (app threads first, then aux).
-
-        Subclasses override either this or :meth:`thread_batch_streams`
-        (or both); each default derives from the other, so the two
-        protocols always describe the same access sequence.
-        """
-        if type(self).thread_batch_streams is not Workload.thread_batch_streams:
-            return [
-                flatten_batches(stream)
-                for stream in self.thread_batch_streams(app, rng)
-            ]
-        raise NotImplementedError
-
     def thread_batch_streams(
         self, app: AppContext, rng: np.random.Generator
     ) -> List[Iterator[AccessBatch]]:
-        """One batched access stream per thread (the driver fast path).
-
-        The default re-chunks :meth:`thread_streams`; workloads whose
-        patterns vectorize override this natively.
-        """
-        if type(self).thread_streams is not Workload.thread_streams:
-            return [chunk_stream(stream) for stream in self.thread_streams(app, rng)]
+        """One batched access stream per thread (app threads first, then aux)."""
         raise NotImplementedError
 
     # -- helpers ----------------------------------------------------------

@@ -4,33 +4,24 @@ Workloads are built by composing these primitives: Snappy is one
 sequential stream, Memcached is a Zipf stream, Spark is epochal scans
 plus pointer chasing plus GC bursts, and so on.
 
-Every primitive has a ``*_batches`` variant producing
-:class:`~repro.workloads.batch.AccessBatch` chunks with the columns
-computed vectorized — the form the driver consumes — and a scalar view
-yielding ``(vpn, is_write, cpu_us)`` tuples for inspection.  The scalar
-generators are defined as ``flatten_batches`` over the batched ones, so
-both emit the same access sequence from the same RNG draws by
-construction.
+Every primitive is a ``*_batches`` producer: it computes the whole
+stream's columns vectorized and yields them as
+:class:`~repro.workloads.batch.AccessBatch` chunks, the form the driver
+consumes.  Wrap one in :func:`~repro.workloads.batch.flatten_batches` to
+inspect it access by access.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from repro.mem.address_space import VMA
-from repro.workloads.batch import BATCH_SIZE, AccessBatch, emit_batches, flatten_batches
+from repro.workloads.batch import BATCH_SIZE, AccessBatch, emit_batches
 from repro.workloads.zipf import ZipfSampler
 
 __all__ = [
-    "sequential",
-    "strided",
-    "zipfian",
-    "uniform_random",
-    "pointer_chase",
-    "gc_bursts",
-    "interleave",
     "shuffled_chain",
     "grouped_chain",
     "sequential_batches",
@@ -40,8 +31,6 @@ __all__ = [
     "pointer_chase_batches",
     "gc_bursts_batches",
 ]
-
-Access = Tuple[int, bool, float]
 
 
 # -- batched producers ----------------------------------------------------
@@ -165,93 +154,12 @@ def gc_bursts_batches(
     )
 
 
-# -- scalar protocol ------------------------------------------------------
-
-
-def sequential(
-    vma: VMA,
-    n: int,
-    write_ratio: float = 0.0,
-    cpu_us: float = 0.05,
-    start: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[Access]:
-    """Scalar view of :func:`sequential_batches`."""
-    return flatten_batches(sequential_batches(vma, n, write_ratio, cpu_us, start, rng))
-
-
-def strided(
-    vma: VMA,
-    n: int,
-    stride: int,
-    write_ratio: float = 0.0,
-    cpu_us: float = 0.05,
-    start: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[Access]:
-    """Scalar view of :func:`strided_batches`."""
-    return flatten_batches(
-        strided_batches(vma, n, stride, write_ratio, cpu_us, start, rng)
-    )
-
-
-def zipfian(
-    vma: VMA,
-    n: int,
-    rng: np.random.Generator,
-    theta: float = 0.99,
-    write_ratio: float = 0.1,
-    cpu_us: float = 0.1,
-) -> Iterator[Access]:
-    """Scalar view of :func:`zipfian_batches`."""
-    return flatten_batches(zipfian_batches(vma, n, rng, theta, write_ratio, cpu_us))
-
-
-def uniform_random(
-    vma: VMA,
-    n: int,
-    rng: np.random.Generator,
-    write_ratio: float = 0.0,
-    cpu_us: float = 0.05,
-) -> Iterator[Access]:
-    """Scalar view of :func:`uniform_random_batches`."""
-    return flatten_batches(uniform_random_batches(vma, n, rng, write_ratio, cpu_us))
-
-
-def pointer_chase(
-    chain: Sequence[int],
-    n: int,
-    write_ratio: float = 0.0,
-    cpu_us: float = 0.15,
-    start_index: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[Access]:
-    """Scalar view of :func:`pointer_chase_batches`."""
-    return flatten_batches(
-        pointer_chase_batches(chain, n, write_ratio, cpu_us, start_index, rng)
-    )
-
-
-def gc_bursts(
-    chain: Sequence[int],
-    n_bursts: int,
-    burst_len: int,
-    idle_cpu_us: float = 400.0,
-    cpu_us: float = 0.05,
-    rng: Optional[np.random.Generator] = None,
-) -> Iterator[Access]:
-    """Scalar view of :func:`gc_bursts_batches`."""
-    return flatten_batches(
-        gc_bursts_batches(chain, n_bursts, burst_len, idle_cpu_us, cpu_us, rng)
-    )
-
-
-# -- chains and interleaving ----------------------------------------------
+# -- chains ---------------------------------------------------------------
 
 
 def shuffled_chain(vma: VMA, rng: np.random.Generator) -> List[int]:
     """A fixed random permutation of the region's VPNs: the 'object graph'
-    traversal order used by :func:`pointer_chase` and recorded as
+    traversal order used by :func:`pointer_chase_batches` and recorded as
     reference edges by managed workloads."""
     order = np.array(range(vma.start_vpn, vma.end_vpn))
     rng.shuffle(order)
@@ -282,19 +190,6 @@ def grouped_chain(
         rng.shuffle(members)
         chain.extend(int(v) for v in members)
     return chain
-
-
-def interleave(
-    streams: List[Iterator[Access]], rng: np.random.Generator
-) -> Iterator[Access]:
-    """Randomly interleave several streams until all are exhausted."""
-    live = list(streams)
-    while live:
-        index = int(rng.integers(0, len(live)))
-        try:
-            yield next(live[index])
-        except StopIteration:
-            live.pop(index)
 
 
 def _write_flags(

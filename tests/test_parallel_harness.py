@@ -202,10 +202,9 @@ def test_batched_streams_bit_identical_to_scalar(system, monkeypatch):
     """Where a stream's batch boundaries fall may not change a single
     simulated number.
 
-    A co-run that mixes native batched producers (memcached, spark_lr,
-    neo4j) with the chunk_stream fallback (snappy) is rerun with every
-    thread stream re-chunked into 7-access batches; the digest must
-    match the run on the producers' own batches.
+    A co-run of snappy, memcached, spark_lr and neo4j is rerun with
+    every thread stream re-chunked into 7-access batches; the digest
+    must match the run on the producers' own batches.
     """
     from repro.harness import experiment
     from repro.workloads.batch import chunk_stream, flatten_batches

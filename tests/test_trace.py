@@ -111,3 +111,26 @@ def test_replay_streams_compute_gaps_nonnegative():
     accesses = list(flatten_batches(stream))
     assert [a[0] for a in accesses] == [10, 11, 12]
     assert all(a[2] >= 0 for a in accesses)
+
+
+def test_replay_streams_keep_recorded_thread_ids():
+    # Thread 2 faults first in the list (records arrive out of time
+    # order), thread 1 never faults: stream k must still replay thread k,
+    # or a JVM app's GC threads would replay under app thread ids.
+    records = [
+        FaultRecord(30.0, "a", 2, 22, 1.0),
+        FaultRecord(20.0, "a", 2, 21, 1.0),
+        FaultRecord(10.0, "a", 0, 10, 1.0),
+    ]
+    streams = replay_streams(records)
+    assert [[a[0] for a in flatten_batches(s)] for s in streams] == [
+        [10],
+        [],
+        [21, 22],
+    ]
+
+
+def test_replay_streams_rejects_mixed_apps():
+    records = [FaultRecord(0.0, "a", 0, 1, 1.0), FaultRecord(1.0, "b", 0, 2, 1.0)]
+    with pytest.raises(ValueError):
+        replay_streams(records)

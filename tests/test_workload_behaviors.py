@@ -7,6 +7,7 @@ import pytest
 from repro.kernel import AppContext, CgroupConfig
 from repro.sim import Engine
 from repro.workloads import WORKLOADS, make_workload
+from repro.workloads.batch import flatten_batches
 
 
 def materialize(name, scale=0.1, max_per_thread=400):
@@ -16,9 +17,9 @@ def materialize(name, scale=0.1, max_per_thread=400):
     )
     workload.build(app, np.random.default_rng(0))
     accesses = []
-    for stream in workload.thread_streams(app, np.random.default_rng(1)):
+    for stream in workload.thread_batch_streams(app, np.random.default_rng(1)):
         thread_accesses = []
-        for access in stream:
+        for access in flatten_batches(stream):
             thread_accesses.append(access)
             if len(thread_accesses) >= max_per_thread:
                 break

@@ -15,6 +15,7 @@ from repro.workloads import (
 )
 from repro.workloads import patterns
 from repro.workloads.apps import SnappyWorkload
+from repro.workloads.batch import flatten_batches
 
 
 # -- zipf sampler --------------------------------------------------------------
@@ -62,28 +63,32 @@ def make_vma(n_pages=64):
     return AddressSpace("t").map_region(n_pages)
 
 
+def flat(batches):
+    return list(flatten_batches(batches))
+
+
 def test_sequential_wraps():
     vma = make_vma(8)
-    vpns = [a[0] for a in patterns.sequential(vma, 10)]
+    vpns = [a[0] for a in flat(patterns.sequential_batches(vma, 10))]
     assert vpns[:8] == list(vma.vpns())
     assert vpns[8] == vma.start_vpn
 
 
 def test_strided_pattern():
     vma = make_vma(64)
-    vpns = [a[0] for a in patterns.strided(vma, 4, stride=8)]
+    vpns = [a[0] for a in flat(patterns.strided_batches(vma, 4, stride=8))]
     assert [v - vma.start_vpn for v in vpns] == [0, 8, 16, 24]
 
 
 def test_write_ratio_deterministic_without_rng():
     vma = make_vma(16)
-    writes = [a[1] for a in patterns.sequential(vma, 10, write_ratio=0.5)]
+    writes = [a[1] for a in flat(patterns.sequential_batches(vma, 10, write_ratio=0.5))]
     assert writes == [True, False] * 5
 
 
 def test_write_ratio_one():
     vma = make_vma(16)
-    assert all(a[1] for a in patterns.sequential(vma, 5, write_ratio=1.0))
+    assert all(a[1] for a in flat(patterns.sequential_batches(vma, 5, write_ratio=1.0)))
 
 
 def test_shuffled_chain_is_permutation():
@@ -94,30 +99,25 @@ def test_shuffled_chain_is_permutation():
 
 def test_pointer_chase_follows_chain():
     chain = [5, 9, 2, 7]
-    vpns = [a[0] for a in patterns.pointer_chase(chain, 6)]
+    vpns = [a[0] for a in flat(patterns.pointer_chase_batches(chain, 6))]
     assert vpns == [5, 9, 2, 7, 5, 9]
 
 
 def test_gc_bursts_carry_idle_cpu():
     chain = list(range(100))
-    accesses = list(patterns.gc_bursts(chain, n_bursts=2, burst_len=3, idle_cpu_us=500.0))
+    accesses = flat(
+        patterns.gc_bursts_batches(chain, n_bursts=2, burst_len=3, idle_cpu_us=500.0)
+    )
     assert len(accesses) == 6
     assert accesses[0][2] == 500.0
     assert accesses[1][2] != 500.0
     assert accesses[3][2] == 500.0
 
 
-def test_interleave_exhausts_all():
-    vma = make_vma(16)
-    a = patterns.sequential(vma, 5)
-    b = patterns.sequential(vma, 3)
-    merged = list(patterns.interleave([a, b], np.random.default_rng(0)))
-    assert len(merged) == 8
-
-
 def test_zipfian_stays_in_region():
     vma = make_vma(32)
-    for vpn, _w, _c in patterns.zipfian(vma, 100, np.random.default_rng(0)):
+    rng = np.random.default_rng(0)
+    for vpn, _w, _c in flat(patterns.zipfian_batches(vma, 100, rng)):
         assert vma.contains(vpn)
 
 
@@ -166,11 +166,11 @@ def test_workload_builds_and_streams(name):
     workload.build(app, rng)
     assert app.space.total_pages >= workload.working_set_pages * 0.9
     assert app.runtime is not None
-    streams = workload.thread_streams(app, np.random.default_rng(1))
+    streams = workload.thread_batch_streams(app, np.random.default_rng(1))
     assert len(streams) == workload.total_threads
     # Every generated access must be mappable and carry sane fields.
     for stream in streams:
-        for i, (vpn, write, cpu) in enumerate(stream):
+        for i, (vpn, write, cpu) in enumerate(flatten_batches(stream)):
             assert vpn in app.space.pages, f"{name}: unmapped vpn {vpn:#x}"
             assert isinstance(write, (bool, np.bool_))
             assert cpu >= 0
@@ -212,6 +212,28 @@ def test_snappy_single_thread():
     workload = SnappyWorkload(scale=0.2)
     assert workload.n_threads == 1
     assert workload.total_threads == 1
+
+
+def test_snappy_reads_three_pages_per_page_written():
+    # n % 4 == 3, and both regions wrap: every fourth access writes the
+    # next output page, and the leftover input reads close the stream.
+    workload = SnappyWorkload(scale=0.1005)
+    n = workload.accesses_per_thread
+    assert n % 4 == 3
+    app = AppContext(Engine(), CgroupConfig(name="s", n_cores=1, local_memory_pages=64))
+    workload.build(app, np.random.default_rng(0))
+    (stream,) = workload.thread_batch_streams(app, np.random.default_rng(1))
+    src, dst = workload.input_vma, workload.output_vma
+
+    def read(k):
+        return (src.start_vpn + k % src.n_pages, False, 4.0)
+
+    expected = []
+    for k in range(n // 4):
+        expected += [read(3 * k + j) for j in range(3)]
+        expected.append((dst.start_vpn + k % dst.n_pages, True, 4.0))
+    expected += [read(3 * (n // 4) + j) for j in range(n % 4)]
+    assert flat(stream) == expected
 
 
 def test_thread_counts_preserve_paper_ordering():
