@@ -5,7 +5,7 @@ path (PR 3).  Where ``test_access_throughput`` measures the batched
 resident fast path, this one pins the co-run under heavy memory
 pressure so wall-clock is dominated by everything a fault touches:
 pooled park/kick events, recycled ``RdmaRequest`` objects, the NIC's
-batch-draining dispatch loop, bound-method completion delivery, and
+dispatch loop, bound-method completion delivery, and
 (for the Leap configuration) the incremental majority vote.
 
 Two configurations:
@@ -34,7 +34,7 @@ median-of-ratios A/B against the pre-PR tree, digests identical.  Each
 test also re-runs its configuration with the simulation profiler
 attached and asserts digest equality.  The profiler only wraps the run
 in cProfile, so the profiled run executes the same slow path (the NIC's
-dispatch drain included) and must produce a bit-identical simulation.
+serve step included) and must produce a bit-identical simulation.
 """
 
 from _common import print_header

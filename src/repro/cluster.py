@@ -47,7 +47,7 @@ plan defeats the migration retry budget).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.obs.trace import (
@@ -57,9 +57,9 @@ from repro.obs.trace import (
     RACK_SERVER_DEAD,
     RACK_SERVER_DRAIN,
 )
-from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
+from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind, acquire_request
 from repro.rdma.nic import DirectionalChannel, RNIC
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
 
@@ -683,20 +683,6 @@ class Rack:
     # Migration transfers (the rack as a request-pool owner)
     # ------------------------------------------------------------------
 
-    def _acquire(self, op: RdmaOp, entry: SwapEntry) -> RdmaRequest:
-        pool = self._request_pool
-        if pool:
-            request = pool.pop()
-            request.reuse(op, RequestKind.REHOME, "rack", entry, None)
-        else:
-            request = RdmaRequest(
-                op, RequestKind.REHOME, "rack", entry, None,
-                completion=Event(self.engine),
-            )
-            request.owner = self
-        request.completion.add_callback(request)
-        return request
-
     def _issue_leg(
         self,
         op: RdmaOp,
@@ -704,7 +690,7 @@ class Rack:
         write_entry: Optional[SwapEntry],
         retries: int = 0,
     ) -> None:
-        request = self._acquire(op, entry)
+        request = acquire_request(self, op, RequestKind.REHOME, "rack", entry, None)
         self._pending[request.request_id] = (op, entry, write_entry, retries)
         if op is RdmaOp.READ:
             self.stats.rehome_reads += 1

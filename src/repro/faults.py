@@ -146,6 +146,10 @@ class FaultConfig:
         )
 
 
+def _by_start(windows: Tuple[tuple, ...]) -> Tuple[tuple, ...]:
+    return tuple(sorted(windows, key=lambda window: window[0]))
+
+
 class FaultPlan:
     """A fully materialized fault schedule: pure function of (config, seed)."""
 
@@ -190,6 +194,12 @@ class FaultPlan:
             config.server_slowdown_duration_us,
             config.window_horizon_us,
         )
+        # The window queries scan in start order and stop at the first
+        # window starting after the query time, so explicit windows
+        # given out of order are sorted here (placed ones already are).
+        self.flap_windows = _by_start(self.flap_windows)
+        self.degrade_windows = _by_start(self.degrade_windows)
+        self.server_windows = _by_start(self.server_windows)
         # Rack episodes are always scripted, so they pass through
         # verbatim and never touch the window RNG (adding a death to a
         # plan cannot perturb any other fault class's placement).

@@ -61,8 +61,8 @@ from repro.obs.trace import (
     WB_RETRY,
 )
 from repro.prefetch.base import Prefetcher
-from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
-from repro.rdma.nic import RNIC, PhysicalQP
+from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind, acquire_request
+from repro.rdma.nic import RNIC
 from repro.sim.engine import DEBUG_EVENT_NAMES, Engine, Event
 from repro.swap.allocator import EntryAllocator, FreeListAllocator
 from repro.swap.entry import SwapEntry
@@ -238,23 +238,8 @@ class BaseSwapSystem:
         entry: SwapEntry,
         page: Page,
     ) -> RdmaRequest:
-        """A pooled request with its completion event armed for dispatch.
-
-        The request object itself is the completion callback (bound
-        dispatch, no per-request lambda); it occupies the same callback
-        slot the old closure did, so waiters subscribing later still run
-        after the kernel-side completion handler.
-        """
-        pool = self._request_pool
-        if pool:
-            request = pool.pop()
-            request.reuse(op, kind, app_name, entry, page)
-        else:
-            request = RdmaRequest(
-                op, kind, app_name, entry, page, completion=Event(self.engine)
-            )
-            request.owner = self
-        request.completion.add_callback(request)
+        """A pooled request (:func:`repro.rdma.message.acquire_request`)."""
+        request = acquire_request(self, op, kind, app_name, entry, page)
         if self.trace is not None:
             self.trace.emit(
                 REQ_ACQUIRE, app_name, 0, request.pool_serial, request.request_id

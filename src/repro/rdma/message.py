@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.mem.page import PAGE_SIZE
 from repro.obs.trace import REQ_RECYCLE
+from repro.sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mem.page import Page
-    from repro.sim.engine import Event
     from repro.swap.entry import SwapEntry
 
-__all__ = ["RdmaOp", "RequestKind", "RdmaRequest"]
+__all__ = ["RdmaOp", "RequestKind", "RdmaRequest", "acquire_request"]
 
 _request_ids = itertools.count()
 _pool_serials = itertools.count()
@@ -199,3 +199,33 @@ class RdmaRequest:
             f"RdmaRequest(#{self.request_id}, {self.op.value}/{self.kind.value}, "
             f"app={self.app_name!r}, entry={entry_id})"
         )
+
+
+def acquire_request(
+    owner,
+    op: RdmaOp,
+    kind: RequestKind,
+    app_name: str,
+    entry: "SwapEntry",
+    page: Optional["Page"],
+) -> RdmaRequest:
+    """A request from ``owner``'s pool with its completion event armed.
+
+    ``owner`` is a request-pool owner (a swap system or the rack): it
+    has an ``engine``, a ``_request_pool`` list that recycled requests
+    return to, and a ``_request_completed(request)`` handler.  The
+    request object itself is the completion callback (bound dispatch,
+    no per-request closure), registered first, so waiters subscribing
+    later run after the owner's completion handler.
+    """
+    pool = owner._request_pool
+    if pool:
+        request = pool.pop()
+        request.reuse(op, kind, app_name, entry, page)
+    else:
+        request = RdmaRequest(
+            op, kind, app_name, entry, page, completion=Event(owner.engine)
+        )
+        request.owner = owner
+    request.completion.add_callback(request)
+    return request

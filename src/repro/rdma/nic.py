@@ -62,9 +62,6 @@ class DirectionalChannel:
         self.busy_until_us = 0.0
         self.bytes_transferred = 0
 
-    def transfer_time_us(self, size_bytes: int) -> float:
-        return size_bytes / self.bandwidth_bytes_per_us
-
     def reserve(
         self, now_us: float, size_bytes: int, bandwidth_scale: float = 1.0
     ) -> float:
@@ -102,16 +99,6 @@ class PhysicalQP:
         self._queue.append(request)
         self.enqueued_total += 1
 
-    def pop(self) -> Optional[RdmaRequest]:
-        if self._queue:
-            return self._queue.popleft()
-        return None
-
-    def peek(self) -> Optional[RdmaRequest]:
-        if self._queue:
-            return self._queue[0]
-        return None
-
 
 @dataclass
 class NicStats:
@@ -144,12 +131,6 @@ class NicStats:
     #: CQE, no wire time) and completed migration transfers.
     dead_target_errors: int = 0
     rehome_completed: int = 0
-    #: Drained serves: requests whose service/completion times were
-    #: computed arithmetically inside one dispatch wakeup instead of a
-    #: per-WQE generator re-entry.  Host-cost accounting only — never
-    #: part of a result digest.
-    drain_batches: int = 0
-    drained_serves: int = 0
 
 
 class RNIC:
@@ -171,9 +152,9 @@ class RNIC:
         self.base_latency_us = base_latency_us
         self.verb_overhead_us = verb_overhead_us
         self.stats = NicStats()
-        #: Optional :class:`repro.faults.FaultPlan`.  When None (the
-        #: default) the dispatch loop takes the exact pre-fault code
-        #: path; every injection site is gated on this attribute.
+        #: Optional :class:`repro.faults.FaultPlan`.  Every injection
+        #: site in the serve step is gated on this attribute, so with
+        #: None (the default) no fault arithmetic runs.
         self.fault_plan = None
         #: Optional :class:`repro.obs.TraceBuffer`; every tracepoint is
         #: a single ``is not None`` check while unset.
@@ -276,6 +257,7 @@ class RNIC:
 
     def _dispatch_loop(self, op: RdmaOp):
         engine = self.engine
+        stats = self.stats
         channel = self.read_channel if op is RdmaOp.READ else self.write_channel
         park = self._park_events[op]
         while True:
@@ -287,7 +269,7 @@ class RNIC:
                 park.reset()
                 continue
             if request.dropped:
-                self.stats.dropped_skipped += 1
+                stats.dropped_skipped += 1
                 if self.tracer is not None:
                     self.tracer.emit(
                         QP_DROP_SKIP,
@@ -308,137 +290,61 @@ class RNIC:
                 # Target memory server is dead: the verb never reaches
                 # the wire; an error CQE arrives after the propagation
                 # delay and the kernel's error hooks take over.
-                self.stats.dead_target_errors += 1
+                stats.dead_target_errors += 1
                 request.error = True
                 request.issued_at_us = engine.now
                 engine.call_after(self.base_latency_us, self._complete, request)
                 continue
+            now = engine.now
+            scale = 1.0
             plan = self.fault_plan
             if plan is not None:
-                yield from self._serve_faulted(channel, request, plan)
-                continue
-            # Verb processing on the NIC, then the wire, then propagation.
-            # One pooled sleep covers verb + wire: the wire slot is
-            # reserved up front for the instant the verb would have hit
-            # it, so the release time is exactly the two-stage path's.
-            now = engine.now
+                down_until = plan.link_down_until(now)
+                if down_until > now:
+                    # Link flap: the dispatch loop stalls until the link
+                    # is back (nothing can be serialized onto a dead wire).
+                    stats.flap_stall_us += down_until - now
+                    yield engine.sleep(down_until - now)
+                    now = engine.now
+                scale = plan.bandwidth_scale(now)
+                if scale != 1.0:
+                    stats.degraded_transfers += 1
             request.issued_at_us = now
             if self.tracer is not None:
                 self.tracer.emit(
                     QP_SERVE, request.app_name, 0, request.request_id,
                     request.kind.value,
                 )
-            release = channel.reserve(now + self.verb_overhead_us, request.size_bytes)
+            # Verb processing on the NIC, then the wire, then propagation.
+            # One sleep covers verb + wire: the wire slot is reserved up
+            # front for the instant the verb would have hit it.
+            start = now + self.verb_overhead_us
+            release = channel.reserve(start, request.size_bytes, scale)
+            lag = 0.0
             if rack is not None:
                 # Mirror the reservation on the target server's channel
                 # at this exact synchronous point, so the server channel
                 # sees the uplink's reservation sequence verbatim (the
                 # one-server lockstep that keeps lag exactly 0.0).
-                lag = rack.wire_lag(
-                    request, now + self.verb_overhead_us, release
-                )
-                yield engine.sleep(release - now)
-                engine.call_after(
-                    self.base_latency_us + lag, self._complete, request
-                )
-                continue
-            # Doorbell-batched drain: when the head priority group is a
-            # single FIFO with more work queued, the serial loop's next
-            # iterations are fully determined — each wake serves that
-            # queue's head, nothing can preempt it (strict priority,
-            # arrivals append behind), and every timestamp is pure float
-            # arithmetic.  Compute the whole run here and sleep once.
-            # Each step replicates the serial path bit for bit:
-            # wake_j = now_j + (release_j - now_j), completion at
-            # wake_j + base (call_at_exact avoids call_after's relative
-            # round-trip).  Gated off under tracing (QP_SERVE must carry
-            # real serve times); rack-attached serves returned above (the
-            # per-server channel mirror is inherently per-transfer).
-            if self.tracer is None:
-                groups = self._groups[op]
-                head = groups[0] if groups else None
-                if head is not None and len(head) == 1:
-                    queue = head[0]._queue
-                    if queue and not queue[0].dropped:
-                        stats = self.stats
-                        verb = self.verb_overhead_us
-                        base = self.base_latency_us
-                        reserve = channel.reserve
-                        complete = self._complete
-                        call_at = engine.call_at_exact
-                        w = now + (release - now)
-                        call_at(w + base, complete, request)
-                        drained = 0
-                        while queue and not queue[0].dropped:
-                            nxt = queue.popleft()
-                            nxt.issued_at_us = w
-                            rel = reserve(w + verb, nxt.size_bytes)
-                            w = w + (rel - w)
-                            call_at(w + base, complete, nxt)
-                            drained += 1
-                        stats.drain_batches += 1
-                        stats.drained_serves += drained
-                        self._rr_cursor[op] = 1
-                        yield engine.sleep_until(w)
-                        continue
+                lag = rack.wire_lag(request, start, release, scale)
             yield engine.sleep(release - now)
             # Propagation is pipelined: schedule completion off-loop.
             # The request rides in the scheduling entry — no closure.
-            engine.call_after(self.base_latency_us, self._complete, request)
-
-    # -- fault-plan service path -------------------------------------------
-
-    def _serve_faulted(self, channel: DirectionalChannel, request: RdmaRequest, plan):
-        """Serve one transfer under a fault plan.
-
-        With every knob at zero this path performs the exact float
-        arithmetic and the exact yields of the plain path (the flap
-        sleep is skipped, the bandwidth scale multiplies by 1.0, and the
-        server delay adds 0.0), so a zero plan is bit-identical to no
-        plan.
-        """
-        engine = self.engine
-        now = engine.now
-        down_until = plan.link_down_until(now)
-        if down_until > now:
-            # Link flap: the dispatch loop stalls until the link is back
-            # (nothing can be serialized onto a dead wire).
-            self.stats.flap_stall_us += down_until - now
-            yield engine.sleep(down_until - now)
-            now = engine.now
-        request.issued_at_us = now
-        if self.tracer is not None:
-            self.tracer.emit(
-                QP_SERVE, request.app_name, 0, request.request_id, request.kind.value
-            )
-        scale = plan.bandwidth_scale(now)
-        if scale != 1.0:
-            self.stats.degraded_transfers += 1
-        release = channel.reserve(
-            now + self.verb_overhead_us, request.size_bytes, scale
-        )
-        rack = self.rack
-        lag = 0.0
-        if rack is not None:
-            # Same mirror-at-reserve-time rule as the plain path, with
-            # the degradation scale applied to both channels.
-            lag = rack.wire_lag(
-                request, now + self.verb_overhead_us, release, scale
-            )
-        yield engine.sleep(release - now)
-        verdict = plan.roll(request)
-        if verdict:
-            self._transport_fault(request, verdict, plan)
-            return
-        extra = plan.server_delay_us(engine.now)
-        if extra > 0.0:
-            self.stats.server_delayed += 1
-        if lag > 0.0:
-            engine.call_after(
-                self.base_latency_us + extra + lag, self._complete, request
-            )
-        else:
-            engine.call_after(self.base_latency_us + extra, self._complete, request)
+            # Delay terms are added only when positive, so an unfaulted
+            # transfer completes at exactly ``wake + base``.
+            delay = self.base_latency_us
+            if plan is not None:
+                verdict = plan.roll(request)
+                if verdict:
+                    self._transport_fault(request, verdict, plan)
+                    continue
+                extra = plan.server_delay_us(engine.now)
+                if extra > 0.0:
+                    stats.server_delayed += 1
+                    delay += extra
+            if lag > 0.0:
+                delay += lag
+            engine.call_after(delay, self._complete, request)
 
     def _transport_fault(self, request: RdmaRequest, verdict: int, plan) -> None:
         """One served transfer failed: back off and retransmit, or give up.

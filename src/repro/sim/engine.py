@@ -402,31 +402,6 @@ class Engine:
             self._seq += 1
             heapq.heappush(self._heap, (self.now + delay, self._seq, callback, arg))
 
-    def call_at_exact(
-        self, when: float, callback: Callable[..., None], arg: Any = _NO_ARG
-    ) -> None:
-        """Run ``callback`` at the exact absolute time ``when``.
-
-        Unlike :meth:`call_at`, the timestamp lands on the heap verbatim —
-        no ``now + (when - now)`` float round-trip — so a caller that
-        computed ``when`` arithmetically (the NIC's doorbell drain) fires
-        at bit-exactly that instant.  ``when == now`` takes the immediate
-        lane, preserving FIFO order with other zero-delay work.
-        """
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self.now}")
-        if when == self.now:
-            if arg is _NO_ARG:
-                self._immediate.append(callback)
-            else:
-                self._immediate.append((callback, arg))
-            return
-        self._seq += 1
-        if arg is _NO_ARG:
-            heapq.heappush(self._heap, (when, self._seq, callback))
-        else:
-            heapq.heappush(self._heap, (when, self._seq, callback, arg))
-
     # -- waitable factories ----------------------------------------------
 
     def event(self, name: str = "") -> Event:
@@ -454,37 +429,6 @@ class Engine:
         timeout.generation += 1
         timeout.delay = delay
         self._schedule_call(delay, timeout._fire_cb)
-        return timeout
-
-    def sleep_until(self, when: float) -> Timeout:
-        """A pooled timeout firing at the exact absolute time ``when``.
-
-        The absolute timestamp is heap-pushed verbatim (the discipline of
-        :meth:`call_at_exact`); ``sleep(when - now)`` would instead wake
-        at ``now + (when - now)``, which need not equal ``when`` in
-        floats.  Same yield-immediately pooling rules as :meth:`sleep`.
-        """
-        if when < self.now:
-            raise SimulationError(f"cannot sleep into the past: {when} < {self.now}")
-        pool = self._timeout_pool
-        if pool:
-            timeout = pool.pop()
-            timeout._fired = False
-            timeout._value = None
-            timeout._exc = None
-            timeout.generation += 1
-        else:
-            # Bypass Timeout.__init__: it schedules by *delay*, which is
-            # exactly the float round-trip this helper exists to avoid.
-            timeout = _PooledTimeout.__new__(_PooledTimeout)
-            Event.__init__(timeout, self, "timeout")
-            timeout._fire_cb = timeout._fire
-        timeout.delay = when - self.now
-        if when == self.now:
-            self._immediate.append(timeout._fire_cb)
-        else:
-            self._seq += 1
-            heapq.heappush(self._heap, (when, self._seq, timeout._fire_cb))
         return timeout
 
     def all_of(self, events: Iterable[Event]) -> AllOf:

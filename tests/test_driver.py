@@ -114,9 +114,11 @@ def test_run_to_completion_respects_limit():
 
 def test_profiled_run_admits_faults_through_groups(monkeypatch):
     """A profiled run takes the production path: every fault goes
-    through ``handle_fault_group``, the NIC drains doorbell runs exactly
-    as an unprofiled run does, and the unprofiled golden digest
-    reproduces."""
+    through ``handle_fault_group``, the NIC serves exactly what an
+    unprofiled run serves (every counter equal), and the unprofiled
+    golden digest reproduces."""
+    from dataclasses import asdict
+
     from repro.harness.experiment import ExperimentConfig, run_experiment
     from repro.harness.results import result_digest
     from repro.metrics.profiler import SimProfiler
@@ -132,9 +134,6 @@ def test_profiled_run_admits_faults_through_groups(monkeypatch):
     faults = sum(r.stats.faults for r in result.results.values())
     assert faults > 0
     assert sum(sizes["fault"]) == faults
-    nic = result.machine.nic.stats
-    assert plain.drain_batches > 0 and plain.drained_serves > 0
-    assert nic.drain_batches == plain.drain_batches
-    assert nic.drained_serves == plain.drained_serves
+    assert asdict(result.machine.nic.stats) == asdict(plain)
     assert profiler.sections["kernel.fault"] > 0.0
     assert result_digest(result) == golden(system_key("canvas"))

@@ -123,6 +123,22 @@ def test_explicit_windows_override_placement():
     assert plan.bandwidth_scale(300.0) == 1.0
     assert plan.server_delay_us(405.0) == plan.config.server_delay_us
     assert plan.registration_slowdown(405.0) == 4.0
+    # Explicit windows given out of start order are still all honoured.
+    unsorted = FaultPlan(
+        FaultConfig(
+            flap_windows=((500.0, 100.0), (100.0, 50.0)),
+            degrade_windows=((800.0, 100.0, 0.5), (200.0, 100.0, 0.25)),
+            server_windows=((900.0, 10.0), (400.0, 10.0)),
+        ),
+        seed=0,
+    )
+    assert unsorted.flap_windows == ((100.0, 150.0), (500.0, 600.0))
+    assert unsorted.link_down_until(120.0) == 150.0
+    assert unsorted.link_down_until(550.0) == 600.0
+    assert unsorted.bandwidth_scale(250.0) == 0.25
+    assert unsorted.bandwidth_scale(850.0) == 0.5
+    assert unsorted.server_delay_us(405.0) == unsorted.config.server_delay_us
+    assert unsorted.server_delay_us(905.0) == unsorted.config.server_delay_us
 
 
 def test_scenario_lookup():

@@ -2,8 +2,7 @@
 
 The slow path recycles three kinds of objects — park/kick ``Event``s,
 ``_PooledTimeout`` sleeps, and ``RdmaRequest``s — and the NIC's
-batch-draining dispatch loop discards dropped requests without serving
-them.  These tests pin the invariants that make the reuse safe:
+dispatch loop discards dropped requests without serving them.  These tests pin the invariants that make the reuse safe:
 
 * a recycled event can never deliver a wakeup to its *previous* waiter,
 * ``reset()`` refuses pending or undelivered events,
@@ -255,93 +254,10 @@ def test_per_kind_completion_counters():
     assert nic.stats.writes_completed == 1
 
 
-# -- Exact-time engine helpers (the drain's scheduling primitives) -------
+# -- Drop-skip at dispatch ----------------------------------------------
 
 
-def test_call_at_exact_fires_at_absolute_instants():
-    eng = Engine()
-    fired = []
-
-    def proc():
-        eng.call_at_exact(2.5, fired.append, "later")
-        eng.call_at_exact(eng.now, fired.append, "now")
-        yield eng.sleep(5.0)
-
-    eng.spawn(proc())
-    eng.run()
-    assert fired == ["now", "later"]
-    with pytest.raises(SimulationError):
-        eng.call_at_exact(eng.now - 1.0, fired.append, "past")
-
-
-def test_sleep_until_wakes_at_exact_absolute_time():
-    eng = Engine()
-    wakes = []
-
-    def sleeper():
-        yield eng.sleep_until(1.5)
-        wakes.append(eng.now)
-        yield eng.sleep_until(1.5 + 2.0)
-        wakes.append(eng.now)
-        # Same-instant sleep_until resumes via the immediate lane.
-        yield eng.sleep_until(eng.now)
-        wakes.append(eng.now)
-
-    eng.spawn(sleeper())
-    eng.run()
-    assert wakes == [1.5, 3.5, 3.5]
-    # The timeouts were pooled and reused like relative sleeps.
-    assert len(eng._timeout_pool) >= 1
-
-
-def test_sleep_until_rejects_the_past():
-    eng = Engine()
-
-    def proc():
-        yield eng.sleep(2.0)
-        yield eng.sleep_until(1.0)
-
-    eng.spawn(proc())
-    with pytest.raises(SimulationError):
-        eng.run()
-
-
-# -- The arithmetic drain ----------------------------------------------
-
-
-def test_drain_is_bit_identical_to_per_wqe_serving():
-    """The arithmetic drain (tracer off) must schedule the exact same
-    completion instants as per-WQE generator serving (tracer on, which
-    gates the drain off) — the permanent scalar oracle."""
-    from repro.obs import TraceBuffer
-
-    def run(drain):
-        eng = Engine()
-        nic = RNIC(eng)
-        if not drain:
-            nic.tracer = TraceBuffer(eng, capacity=4096)
-        qp = nic.create_qp("q", RdmaOp.READ)
-        part = SwapPartition("p", 64)
-        owner = FakeOwner()
-        requests = [pooled_request(eng, part, owner) for _ in range(12)]
-        for request in requests:
-            nic.submit(qp, request)
-        eng.run()
-        issued = [r.issued_at_us for r in requests]
-        completed = [r.completed_at_us for r in requests]
-        return eng.now, issued, completed, nic.stats
-
-    oracle_now, oracle_issued, oracle_completed, oracle_stats = run(drain=False)
-    drain_now, drain_issued, drain_completed, drain_stats = run(drain=True)
-    assert drain_now == oracle_now
-    assert drain_issued == oracle_issued
-    assert drain_completed == oracle_completed
-    assert oracle_stats.drain_batches == 0
-    assert drain_stats.drain_batches >= 1
-    assert drain_stats.drained_serves == 11  # first serve is per-WQE
-
-
-def test_drain_stops_at_a_dropped_queued_request():
+def test_dropped_queued_request_is_skipped_unserved():
     eng = Engine()
     nic = RNIC(eng)
     qp = nic.create_qp("q", RdmaOp.READ)
@@ -356,5 +272,30 @@ def test_drain_stops_at_a_dropped_queued_request():
     # served; the rest completed and everything was recycled.
     assert nic.stats.dropped_skipped == 1
     assert nic.stats.reads_completed == 3
+    assert requests[2].completed_at_us is None
+    assert set(owner._request_pool) == set(requests)
+
+
+def test_request_dropped_behind_one_in_service_is_skipped():
+    """A drop mark that lands while the request waits behind a transfer
+    already on the wire is honoured when the request reaches the head:
+    the NIC serves one transfer per step and reads the mark then."""
+    eng = Engine()
+    nic = RNIC(eng)
+    qp = nic.create_qp("q", RdmaOp.READ)
+    part = SwapPartition("p", 32)
+    owner = FakeOwner()
+    requests = [pooled_request(eng, part, owner) for _ in range(4)]
+    for request in requests:
+        nic.submit(qp, request)
+    eng.run(until=0.5)  # the first transfer is in service
+    assert requests[0].issued_at_us == 0.0
+    assert requests[2].issued_at_us is None
+    requests[2].dropped = True
+    eng.run()
+    assert nic.stats.dropped_skipped == 1
+    assert nic.stats.reads_completed == 3
+    assert len(owner.completed) == 3
+    assert requests[2].issued_at_us is None
     assert requests[2].completed_at_us is None
     assert set(owner._request_pool) == set(requests)
