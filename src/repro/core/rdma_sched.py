@@ -26,13 +26,13 @@ Swap-outs are subject to fair scheduling only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Optional
+from typing import Callable, Dict, Optional
 
 from repro.kernel.telemetry import Telemetry
 from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
 from repro.rdma.nic import RNIC
 from repro.rdma.vqp import VirtualQP
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 
 __all__ = ["SchedulerStats", "TwoDimensionalScheduler"]
 
@@ -108,18 +108,14 @@ class TwoDimensionalScheduler:
         self._outstanding_reads = 0
         self._outstanding_writes = 0
         self._forward_time: Dict[int, float] = {}
-        self._read_kick: Optional[Event] = None
-        self._write_kick: Optional[Event] = None
-        #: Reusable park events for the two forwarding loops.
-        self._read_park = Event(engine, f"{name}.read.kick")
-        self._write_park = Event(engine, f"{name}.write.kick")
+        #: Set while a pump is queued or running; a kick then is a no-op.
+        self._read_pending = False
+        self._write_pending = False
         self.demand_qp = nic.create_qp(f"{name}.demand", RdmaOp.READ, priority=0)
         self.prefetch_qp = nic.create_qp(f"{name}.prefetch", RdmaOp.READ, priority=1)
         self.write_qp = nic.create_qp(f"{name}.write", RdmaOp.WRITE, priority=0)
         nic.completion_hooks.append(self._on_completion)
         nic.dropped_hooks.append(self._on_dropped_skip)
-        engine.spawn(self._read_loop(), name=f"{name}.read")
-        engine.spawn(self._write_loop(), name=f"{name}.write")
 
     # -- registration ------------------------------------------------------
 
@@ -197,7 +193,8 @@ class TwoDimensionalScheduler:
         return self._apps[app_name].service_ewma_us
 
     def _prefetch_is_stale(self, app_name: str, request: RdmaRequest) -> bool:
-        queued = self.engine.now - (request.enqueued_at_us or self.engine.now)
+        enqueued = request.enqueued_at_us
+        queued = 0.0 if enqueued is None else self.engine.now - enqueued
         estimate = queued + self.estimated_service_us(app_name)
         return estimate > self.timeout_threshold_us(app_name)
 
@@ -213,29 +210,30 @@ class TwoDimensionalScheduler:
         """
         vqp = state.vqp
         dq = vqp.demand_q
-        if dq:
-            demand = dq[0]
-            if demand.dropped:
-                demand = vqp.peek(RequestKind.DEMAND)
-        else:
-            demand = None
-        if demand is not None:
-            if self.horizontal:
-                return demand
-            prefetch = vqp.peek(RequestKind.PREFETCH)
-            if prefetch is None:
-                return demand
-            # FIFO between kinds when horizontal scheduling is disabled:
-            # serve whichever was enqueued first; request IDs break
-            # same-instant ties in submission order.
-            demand_key = (demand.enqueued_at_us, demand.request_id)
-            prefetch_key = (prefetch.enqueued_at_us, prefetch.request_id)
-            return demand if demand_key <= prefetch_key else prefetch
-        if not self.horizontal:
-            return vqp.peek(RequestKind.PREFETCH)
-        # Only prefetches pending: drop stale ones from the head.
         pq = vqp.prefetch_q
         while True:
+            if dq:
+                demand = dq[0]
+                if demand.dropped:
+                    demand = vqp.peek(RequestKind.DEMAND)
+            else:
+                demand = None
+            if demand is not None:
+                if self.horizontal:
+                    return demand
+                prefetch = vqp.peek(RequestKind.PREFETCH)
+                if prefetch is None:
+                    return demand
+                # FIFO between kinds when horizontal scheduling is disabled:
+                # serve whichever was enqueued first; request IDs break
+                # same-instant ties in submission order.
+                demand_key = (demand.enqueued_at_us, demand.request_id)
+                prefetch_key = (prefetch.enqueued_at_us, prefetch.request_id)
+                return demand if demand_key <= prefetch_key else prefetch
+            if not self.horizontal:
+                return vqp.peek(RequestKind.PREFETCH)
+            # Only prefetches pending: drop a stale head, then look again
+            # from the top, since the drop callback may queue a demand.
             if pq:
                 prefetch = pq[0]
                 if prefetch.dropped:
@@ -244,20 +242,20 @@ class TwoDimensionalScheduler:
                 prefetch = None
             if prefetch is None:
                 return None
-            if self.timeliness_drops and self._prefetch_is_stale(
-                vqp.app_name, prefetch
+            if not (
+                self.timeliness_drops
+                and self._prefetch_is_stale(vqp.app_name, prefetch)
             ):
-                vqp.pop(RequestKind.PREFETCH)  # pop first, then mark: pop
-                prefetch.dropped = True  # skips requests already marked
-                self.stats.prefetches_dropped += 1
-                if self.drop_callback is not None:
-                    self.drop_callback(prefetch)
-                if prefetch.owner is not None:
-                    # Dropped before forwarding: it will never reach the
-                    # NIC, so recycle once the unwind has been dispatched.
-                    self.engine._immediate.append(prefetch._recycle_cb)
-                continue
-            return prefetch
+                return prefetch
+            vqp.pop(RequestKind.PREFETCH)  # pop first, then mark: pop
+            prefetch.dropped = True  # skips requests already marked
+            self.stats.prefetches_dropped += 1
+            if self.drop_callback is not None:
+                self.drop_callback(prefetch)
+            if prefetch.owner is not None:
+                # Dropped before forwarding: it will never reach the
+                # NIC, so recycle once the unwind has been dispatched.
+                self.engine._immediate.append(prefetch._recycle_cb)
 
     def _select_fair(self, op: RdmaOp) -> Optional[RdmaRequest]:
         """Vertical dimension: start-time fair queuing with virtual clock.
@@ -307,25 +305,29 @@ class TwoDimensionalScheduler:
             state.vqp.pop(RequestKind.SWAPOUT)
         return best_request
 
-    # -- forwarding loops ----------------------------------------------------
+    # -- forwarding pumps ----------------------------------------------------
 
     def _kick_read(self) -> None:
-        if self._read_kick is not None and not self._read_kick.fired:
-            self._read_kick.succeed()
+        if not self._read_pending:
+            self._read_pending = True
+            self.engine.call_after(0.0, self._pump_read)
 
     def _kick_write(self) -> None:
-        if self._write_kick is not None and not self._write_kick.fired:
-            self._write_kick.succeed()
+        if not self._write_pending:
+            self._write_pending = True
+            self.engine.call_after(0.0, self._pump_write)
 
-    def _read_loop(self) -> Generator:
-        while True:
-            if self._outstanding_reads >= self.read_window:
-                yield from self._wait_read()
-                continue
+    def _pump_read(self) -> None:
+        """Forward reads until the window is full or none is selectable.
+
+        Forwarding takes no simulated time, so this is an immediate-lane
+        callback rather than a process.  A drop callback that resubmits
+        during selection is picked up by this same pump.
+        """
+        while self._outstanding_reads < self.read_window:
             request = self._select_fair(RdmaOp.READ)
             if request is None:
-                yield from self._wait_read()
-                continue
+                break
             self._forward_time[request.request_id] = self.engine.now
             self._outstanding_reads += 1
             self.stats.reads_forwarded += 1
@@ -335,34 +337,18 @@ class TwoDimensionalScheduler:
             else:
                 self.stats.prefetch_forwarded += 1
                 self.nic.submit(self.prefetch_qp, request)
+        self._read_pending = False
 
-    def _write_loop(self) -> Generator:
-        while True:
-            if self._outstanding_writes >= self.write_window:
-                yield from self._wait_write()
-                continue
+    def _pump_write(self) -> None:
+        while self._outstanding_writes < self.write_window:
             request = self._select_fair(RdmaOp.WRITE)
             if request is None:
-                yield from self._wait_write()
-                continue
+                break
             self._forward_time[request.request_id] = self.engine.now
             self._outstanding_writes += 1
             self.stats.writes_forwarded += 1
             self.nic.submit(self.write_qp, request)
-
-    def _wait_read(self) -> Generator:
-        event = self._read_park
-        self._read_kick = event
-        yield event
-        self._read_kick = None
-        event.reset()
-
-    def _wait_write(self) -> Generator:
-        event = self._write_park
-        self._write_kick = event
-        yield event
-        self._write_kick = None
-        event.reset()
+        self._write_pending = False
 
     # -- completion hook ----------------------------------------------------
 

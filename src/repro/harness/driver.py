@@ -68,12 +68,12 @@ def drive_thread(
 
 
 def run_to_completion(engine, processes, limit_us: float = 60_000_000_000.0) -> float:
-    """Run the engine until every given process finishes.
+    """Run the engine until every given process (or join event) fires.
 
-    Daemon processes (kswapd, schedulers, hot-page scanners) never exit,
-    so ``engine.run()`` would spin on their periodic timers forever; this
-    waits exactly for the application processes instead.  Returns the
-    finish time.  ``limit_us`` guards against hangs.
+    Daemon processes (kswapd, NIC dispatch, hot-page scanners) never
+    exit, so ``engine.run()`` would spin on their periodic timers
+    forever; this waits exactly for the application joins instead.
+    Returns the finish time.  ``limit_us`` guards against hangs.
     """
     from repro.sim.engine import AllOf
 
@@ -88,26 +88,29 @@ def spawn_app(
     thread_streams: Iterable[Iterator],
     cpu_flush_us: float = 25.0,
 ):
-    """Spawn one process per thread stream; returns the joined process.
+    """Spawn one process per thread stream; returns their join event.
 
     Each stream yields :class:`~repro.workloads.batch.AccessBatch` chunks
     (wrap a scalar ``(vpn, is_write, cpu_us)`` stream with
     :func:`~repro.workloads.batch.chunk_stream`).  Marks
-    ``app.started_at_us`` / ``app.finished_at_us`` around the whole
-    application, which is what the completion-time figures report.
+    ``app.started_at_us`` now and ``app.finished_at_us`` when the last
+    thread exits, which is what the completion-time figures report.  The
+    join is an :class:`~repro.sim.engine.Event`: yield it, or pass it to
+    :func:`run_to_completion` or ``all_of``.
     """
     engine = system.engine
+    app.started_at_us = engine.now
+    threads = [
+        engine.spawn(
+            drive_thread(system, app, thread_id, stream, cpu_flush_us),
+            name=f"{app.name}.t{thread_id}",
+        )
+        for thread_id, stream in enumerate(thread_streams)
+    ]
+    join = engine.all_of(threads)
 
-    def run_all():
-        app.started_at_us = engine.now
-        threads = [
-            engine.spawn(
-                drive_thread(system, app, thread_id, stream, cpu_flush_us),
-                name=f"{app.name}.t{thread_id}",
-            )
-            for thread_id, stream in enumerate(thread_streams)
-        ]
-        yield engine.all_of(threads)
+    def finished(_event) -> None:
         app.finished_at_us = engine.now
 
-    return engine.spawn(run_all(), name=f"{app.name}.main")
+    join.add_callback(finished)
+    return join

@@ -105,13 +105,6 @@ class AppSwapStats:
             return 0.0
         return self.prefetch_cache_hits / self.faults
 
-    @property
-    def cache_hit_ratio(self) -> float:
-        """All swap-cache hits (demand in-flight included) over faults."""
-        if self.faults == 0:
-            return 0.0
-        return self.cache_hits / self.faults
-
 
 class AppContext:
     """Everything the kernel tracks for one running application."""

@@ -232,9 +232,6 @@ class TraceBuffer:
         self._cursor = 0  # records() unrolled the ring before pickling
         self.emitted = state["emitted"]
 
-    def to_chrome(self) -> dict:
-        return to_chrome_trace(self.records())
-
     def summarize(self) -> Dict[str, Dict[str, float]]:
         return summarize_trace(self.records())
 

@@ -207,10 +207,6 @@ class CoreSet:
         self.stats = CoreSetStats()
         self._sem = Semaphore(engine, n_cores, name=f"{name}.sem")
 
-    @property
-    def runnable_queue_length(self) -> int:
-        return self._sem.queue_length
-
     def execute(self, duration_us: float) -> Generator:
         """Process sub-generator: occupy one core for ``duration_us``."""
         engine = self.engine

@@ -90,6 +90,31 @@ def test_started_and_finished_timestamps():
     assert app.completion_time_us > 0
 
 
+def test_spawn_app_spawns_only_threads_and_joins_on_the_last(monkeypatch):
+    machine = Machine(seed=0)
+    engine = machine.engine
+    system, app = build_fully_resident(machine)
+    vpns = sorted(app.space.pages)
+    streams = [chunk_stream([(v, False, 1.0) for v in vpns[:n]]) for n in (10, 40, 20)]
+    spawned = []
+    real_spawn = engine.spawn
+
+    def spawn(generator, name=""):
+        spawned.append(real_spawn(generator, name))
+        return spawned[-1]
+
+    monkeypatch.setattr(engine, "spawn", spawn)
+    join = spawn_app(system, app, streams)
+    monkeypatch.undo()
+    assert [proc.name for proc in spawned] == ["a.t0", "a.t1", "a.t2"]
+    exits = []
+    for proc in spawned:
+        proc.add_callback(lambda _proc: exits.append(engine.now))
+    run_to_completion(engine, [join])
+    assert app.started_at_us == 0.0
+    assert app.finished_at_us == max(exits) > min(exits)
+
+
 def test_multiple_threads_complete_together():
     machine = Machine(seed=0)
     system, app = build(machine, cores=4)

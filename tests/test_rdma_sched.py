@@ -202,3 +202,52 @@ def test_dropped_after_forward_releases_window_slot():
     sched.submit("a", follow)
     engine.run(until=1_000)
     assert follow.completed_at_us is not None
+
+
+def test_prefetch_enqueued_at_time_zero_can_be_stale():
+    engine, nic, telemetry, sched = make_sched()
+    sched.register_app("a")
+    engine.run(until=5_000)
+    part = SwapPartition("p", 8)
+    request = make_request(part, "a", RequestKind.PREFETCH, engine)
+    request.enqueued_at_us = 0.0  # queued for 5 ms, far past the threshold
+    assert sched._prefetch_is_stale("a", request)
+
+
+def test_construction_starts_no_process():
+    engine = Engine()
+    nic = RNIC(engine)
+    before = engine.pending_events
+    TwoDimensionalScheduler(engine, nic)
+    assert engine.pending_events == before
+
+
+def test_demand_resubmitted_by_drop_callback_forwarded_by_same_pump():
+    part = SwapPartition("p", 64)
+    resubmitted = []
+
+    def resubmit(dropped):
+        demand = make_request(part, "a", RequestKind.DEMAND, engine)
+        resubmitted.append(demand)
+        sched.submit("a", demand)
+
+    engine, nic, telemetry, sched = make_sched(
+        read_window=2, drop_callback=resubmit
+    )
+    sched.register_app("a")
+    sched._apps["a"].timeliness_floor_us = 10.0  # below the service estimate
+    pumps = []
+    pump = sched._pump_read
+
+    def counted_pump():
+        pumps.append(engine.now)
+        pump()
+
+    sched._pump_read = counted_pump
+    stale = make_request(part, "a", RequestKind.PREFETCH, engine)
+    sched.submit("a", make_request(part, "a", RequestKind.DEMAND, engine))
+    sched.submit("a", stale)
+    engine.run(until=0.0)
+    assert stale.dropped and len(resubmitted) == 1
+    assert pumps == [0.0]
+    assert sched.stats.demand_forwarded == 2
