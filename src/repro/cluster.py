@@ -523,9 +523,14 @@ class Rack:
                 self._retire(entry)
             return
         while True:
+            # Bindings per system, built once per round: nothing yields
+            # inside a round, and resolving an entry changes only the
+            # bindings of its own page.
+            bindings = {}
             for system, _partition, entry in self._unretired_on(sid):
-                bindings = self._bindings(system, sid)
-                bound = bindings.get(entry.entry_id)
+                if system not in bindings:
+                    bindings[system] = self._bindings(system, sid)
+                bound = bindings[system].get(entry.entry_id)
                 if bound is None:
                     # Unreferenced (idle free entry the pools missed, or
                     # a binding the kernel dropped since the last scan).
@@ -541,18 +546,7 @@ class Rack:
 
     def _resolve_dead(self, system, app, page, entry: SwapEntry) -> None:
         if page.resident:
-            # The local copy is intact: the dead kept/reserved binding
-            # just goes away (a later eviction re-allocates and writes).
-            if page.reserved_entry is entry:
-                page.reserved_entry = None
-                entry.reserved = False
-            if page.swap_entry is entry:
-                cache = system._cache_for(app, page)
-                if cache._pages.pop(entry.entry_id, None) is not None:
-                    page.in_swap_cache = False
-                page.swap_entry = None
-            self._retire(entry)
-            self.stats.bindings_dropped += 1
+            self._drop_resident_binding(system, app, page, entry)
             return
         in_cache = page.in_swap_cache
         new_entry = self.rebind(system, app, page, entry)
@@ -571,11 +565,13 @@ class Rack:
         batch = self.config.migration_batch
         while True:
             moved = 0
+            bindings = {}  # per system, once per round (see _death_sweep)
             for system, _partition, entry in self._unretired_on(sid):
                 if moved >= batch:
                     break
-                bindings = self._bindings(system, sid)
-                bound = bindings.get(entry.entry_id)
+                if system not in bindings:
+                    bindings[system] = self._bindings(system, sid)
+                bound = bindings[system].get(entry.entry_id)
                 if bound is None:
                     self._retire(entry)
                     continue
@@ -585,7 +581,7 @@ class Rack:
                 if page.resident:
                     # Same as a dead binding on a resident page: cheaper
                     # to drop than to copy data the host already has.
-                    self._resolve_drained_resident(system, app, page, entry)
+                    self._drop_resident_binding(system, app, page, entry)
                     continue
                 new_entry = self.rebind(system, app, page, entry)
                 self.stats.pages_drained += 1
@@ -598,7 +594,10 @@ class Rack:
             yield self.engine.sleep(self.config.migration_round_us)
         self.stats.servers_drained += 1
 
-    def _resolve_drained_resident(self, system, app, page, entry: SwapEntry) -> None:
+    def _drop_resident_binding(self, system, app, page, entry: SwapEntry) -> None:
+        """The local copy is intact: the kept/reserved binding on a dead
+        or draining server just goes away (a later eviction re-allocates
+        and writes)."""
         if page.reserved_entry is entry:
             page.reserved_entry = None
             entry.reserved = False

@@ -109,7 +109,13 @@ class AdaptiveSwapManager:
                 break
             except RuntimeError:
                 if self._emergency_release(max(32, self.reserve_guard)) == 0:
-                    raise
+                    rack = self.base_allocator.rack
+                    if rack is None:
+                        raise
+                    # A dead or drained server's entries were retired
+                    # and nothing replaced them: register one more
+                    # chunk, as ``Rack.rebind`` does.
+                    self.partition.grow(rack.config.chunk_entries)
         self.stats.locked_allocations += 1
         self.app.stats.alloc_stall_us += self.engine.now - start
         # Reserve whenever free entries remain: "we should trade off

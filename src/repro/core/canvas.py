@@ -422,22 +422,9 @@ class CanvasSwapSystem(BaseSwapSystem):
             return
         if self._inflight_req.get(page) is not request:
             return  # already superseded by a demand reissue
-        del self._inflight_req[page]
         if self.trace is not None:
             self.trace.emit(PF_DROP, app.name, 0, page.vpn, "sched")
-        if request.kind is RequestKind.PREFETCH:
-            self._dec_inflight_prefetch(request.app_name)
-        event = self._inflight.pop(page, None)
-        if page.in_swap_cache and page.swap_entry is not None:
-            cache = self._cache_for(app, page)
-            cache.discard(page.swap_entry)
-            app.pool.uncharge(1)
-        page.locked = False
-        page.prefetched = False
-        page.prefetch_timestamp_us = None
-        request.entry.timestamp_us = None
-        if event is not None and not event.fired:
-            event.succeed()  # waiters re-evaluate and demand-fetch
+        self._unwind_prefetch(app, request)
 
     # ------------------------------------------------------------------
     # Introspection helpers for experiments

@@ -101,7 +101,7 @@ class SloController:
         #: Canvas exposes the 2-D scheduler; baselines have no weight
         #: lever, so the controller degrades to measurement-only there.
         self._scheduler = getattr(system, "scheduler", None)
-        self._proc = engine.spawn(self._control_loop(), name="slo.controller")
+        engine.spawn(self._control_loop(), name="slo.controller")
 
     # -- levers --------------------------------------------------------------
 
@@ -184,8 +184,3 @@ class SloController:
         while True:
             yield self.engine.sleep(self.config.period_us)
             self._control_round()
-
-    def stop(self) -> None:
-        """Interrupt the control process (clean exit at a timeout yield)."""
-        if self._proc is not None and not self._proc.fired:
-            self._proc.interrupt("slo-stop")

@@ -272,7 +272,16 @@ class BaseSwapSystem:
         """Obtain a swap entry for a swap-out (the contended step)."""
         allocator = self._allocator_for(app, page)
         start = self.engine.now
-        entry = yield from allocator.allocate(core_id)
+        try:
+            entry = yield from allocator.allocate(core_id)
+        except RuntimeError:
+            if allocator.rack is None:
+                raise
+            # A dead or drained server's entries were retired and
+            # nothing replaced them: register one more chunk, as
+            # ``Rack.rebind`` does.
+            allocator.partition.grow(allocator.rack.config.chunk_entries)
+            entry = yield from allocator.allocate(core_id)
         app.stats.alloc_stall_us += self.engine.now - start
         self.telemetry.alloc_rate(app.name).record(self.engine.now)
         return entry
@@ -787,7 +796,7 @@ class BaseSwapSystem:
         driver would perform (consume → flush → fault, per member), so
         grouping changes no yield, timestamp, or counter.  What it saves
         is the per-member trip back through the driver and the consume
-        core: membership is one flat ``resident_map`` read per member.
+        core: membership is one residency-bitmap read per member.
 
         Membership is dynamic — re-checked between members because a
         prefetch landing mid-group makes the next access resident (the
@@ -797,7 +806,6 @@ class BaseSwapSystem:
         """
         stats = app.stats
         space = app.space
-        resident_map = space.resident_map
         page_map = space.page_map
         execute = app.cores.execute
         handle_fault = self.handle_fault
@@ -810,11 +818,12 @@ class BaseSwapSystem:
         first_vpn = vpn_list[index]
         if tr is not None:
             # Planned run length up to the first resident access
-            # (trace-only; actual membership is dynamic).  ``resident_map``
+            # (trace-only; actual membership is dynamic).  The bitmap
             # is exact for every mapped page, shared ones included.
+            resident_bits = space.resident_bits
             planned = n - index
             for k in range(index + 1, n):
-                if resident_map[vpn_list[k]] is not None:
+                if resident_bits[vpn_list[k]]:
                     planned = k - index
                     break
             tr.emit(FAULT_GROUP_BEGIN, app.name, thread_id, first_vpn, planned)
@@ -823,7 +832,7 @@ class BaseSwapSystem:
         while i < n:
             vpn = vpn_list[i]
             if members:
-                if resident_map[vpn] is not None:
+                if space.resident_bits[vpn]:
                     break  # a prefetch landed: back to the resident path
                 stats.accesses += 1
                 pending_cpu = pending_cpu + (
@@ -932,7 +941,16 @@ class BaseSwapSystem:
         app.stats.prefetches_cancelled += 1
         if self.trace is not None:
             self.trace.emit(PF_CANCEL, app.name, 0, page.vpn, request.request_id)
-        self._dec_inflight_prefetch(request.app_name)
+        request.entry.valid = True
+        self._unwind_prefetch(app, request)
+
+    def _unwind_prefetch(self, app: AppContext, request: RdmaRequest) -> None:
+        """Undo a prefetch that will never land (error CQE or scheduler
+        drop): release its in-flight slot, cache slot and frame, clear
+        the page's prefetch state, and wake its waiters."""
+        page = request.page
+        if request.kind is RequestKind.PREFETCH:
+            self._dec_inflight_prefetch(request.app_name)
         del self._inflight_req[page]
         event = self._inflight.pop(page, None)
         if page.in_swap_cache and page.swap_entry is not None:
@@ -942,7 +960,6 @@ class BaseSwapSystem:
         page.prefetched = False
         page.prefetch_timestamp_us = None
         request.entry.timestamp_us = None
-        request.entry.valid = True
         if event is not None and not event.fired:
             event.succeed()  # waiters re-evaluate and demand-fetch
 

@@ -7,14 +7,15 @@ paper's setting: the kernel's readahead state is per-VMA (the "per-VMA
 prefetching policy" in §6's Linux tuning), and shared VMAs force pages onto
 the global swap path (§4, Handling of Shared Pages).
 
-Flat kernel state: alongside the ``resident_map`` object array (VPN →
-Page-or-None, the fault group's membership check), each space keeps
-VPN-indexed numpy arrays — a residency bitmap, dirty/referenced
-bitvectors, last-access timestamps, and LRU generation stamps with an
-active/inactive classification byte.  The consume core
+Flat kernel state: each space keeps VPN-indexed numpy arrays — a
+residency bitmap, dirty/referenced bitvectors, last-access timestamps,
+and LRU generation stamps with an active/inactive classification byte —
+plus ``page_map``, the VPN-indexed list of its pages.  The consume core
 (``BaseSwapSystem.consume_batch``) gathers and scatters these arrays for
 whole runs of accesses; scalar ``Page`` accessors address the same
-storage element-wise.  Guard/unmapped slots simply stay at their zero
+storage element-wise.  ``map_region`` is the only constructor of
+:class:`~repro.mem.page.Page`, so every page has a home space whose
+arrays hold its flags.  Guard/unmapped slots simply stay at their zero
 values.
 """
 
@@ -74,21 +75,16 @@ class AddressSpace:
         self.name = name
         self.vmas: List[VMA] = []
         self.pages: Dict[int, Page] = {}
-        #: Residency indexed by raw VPN: ``resident_map[vpn]`` is the
-        #: page object when ``pages[vpn].resident`` and None otherwise
-        #: (kept in sync by the Page setter).  The fault group checks a
-        #: member's residency with one flat list index.  Unmapped/guard
-        #: slots stay None.
-        self.resident_map: List[Optional[Page]] = []
-        #: Every attached page indexed by raw VPN (resident or not): the
-        #: flat companion to ``resident_map`` that the fault slow path
-        #: reads, replacing the ``pages`` dict probe per fault/prefetch
-        #: proposal.  Unmapped/guard slots stay None.
+        #: Every mapped page indexed by raw VPN (resident or not): the
+        #: flat companion to ``pages`` that the fault slow path reads,
+        #: replacing the dict probe per fault/prefetch proposal.
+        #: Unmapped/guard slots stay None.
         self.page_map: List[Optional[Page]] = []
         #: Flat VPN-indexed kernel state (see module docstring).  The
-        #: bitmap mirrors ``resident_map``; dirty/referenced/timestamps
-        #: are the authoritative storage behind the ``Page`` accessors;
-        #: ``lru_stamp``/``lru_where`` belong to the generation-stamp LRU
+        #: residency bitmap is kept in sync by the ``Page.resident``
+        #: setter; dirty/referenced/timestamps are the only storage
+        #: behind the ``Page`` accessors; ``lru_stamp``/``lru_where``
+        #: belong to the generation-stamp LRU
         #: (:class:`repro.mem.lru.GenerationLRU`) when the owning app
         #: uses it.
         self.resident_bits = np.zeros(0, dtype=bool)
@@ -97,10 +93,6 @@ class AddressSpace:
         self.last_access_arr = np.zeros(0, dtype=np.float64)
         self.lru_stamp = np.zeros(0, dtype=np.int64)
         self.lru_where = np.zeros(0, dtype=np.uint8)
-        #: Incremental count of resident pages, maintained by the Page
-        #: residency setter: ``resident_pages`` is O(1) instead of a dict
-        #: scan at stats-collection time.
-        self._resident_count = 0
         #: True once this space maps pages whose flag home is another
         #: space (``map_shared_from``): the consume core must not scatter
         #: into *this* space's flag arrays then, so it applies a run's
@@ -110,9 +102,8 @@ class AddressSpace:
 
     # -- mapping ---------------------------------------------------------
 
-    def _grow_resident_map(self, end_vpn: int) -> None:
-        if end_vpn > len(self.resident_map):
-            self.resident_map.extend([None] * (end_vpn - len(self.resident_map)))
+    def _grow_arrays(self, end_vpn: int) -> None:
+        """Extend ``page_map`` and the flat arrays to cover ``end_vpn``."""
         if end_vpn > len(self.page_map):
             self.page_map.extend([None] * (end_vpn - len(self.page_map)))
         if end_vpn > len(self.resident_bits):
@@ -141,13 +132,14 @@ class AddressSpace:
         vma = VMA(self._next_vpn, n_pages, name=name, shared=shared)
         self._next_vpn = vma.end_vpn + self.GUARD_PAGES
         self.vmas.append(vma)
-        self._grow_resident_map(vma.end_vpn)
+        self._grow_arrays(vma.end_vpn)
+        pages = self.pages
         page_map = self.page_map
         for vpn in vma.vpns():
-            page = Page(vpn, owner_name=self.name)
-            self.pages[vpn] = page
+            page = Page(self, vpn)
+            pages[vpn] = page
             page_map[vpn] = page
-            page.attach_space(self)
+        self.resident_bits[vma.start_vpn : vma.end_vpn] = True
         return vma
 
     def map_shared_from(self, other: "AddressSpace", vma: VMA, name: str = "") -> VMA:
@@ -168,7 +160,7 @@ class AddressSpace:
         vma.shared = True
         self.vmas.append(mirror)
         self._next_vpn = max(self._next_vpn, mirror.end_vpn + self.GUARD_PAGES)
-        self._grow_resident_map(vma.end_vpn)
+        self._grow_arrays(vma.end_vpn)
         self.has_foreign_pages = True
         page_map = self.page_map
         for vpn in vma.vpns():
@@ -210,8 +202,8 @@ class AddressSpace:
 
     @property
     def resident_pages(self) -> int:
-        """O(1): maintained incrementally by the Page residency setter."""
-        return self._resident_count
+        """Resident pages mapped here, shared ones included."""
+        return int(self.resident_bits.sum())
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"AddressSpace({self.name!r}, {len(self.vmas)} VMAs, {len(self.pages)} pages)"

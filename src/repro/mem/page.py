@@ -7,14 +7,16 @@ reserved swap-entry ID of §5.1), residency/dirty/referenced bits, the
 mapcount used to route shared pages to the global swap partition, and the
 page lock held while swap I/O is in flight.
 
-Flat-state layout: once a page is attached to an address space, its
-dirty/referenced bits, access timestamp, and residency bit live in that
-space's flat numpy arrays (indexed by VPN) rather than in per-object
-slots.  The consume core updates whole runs of those arrays with a
-handful of vectorized ops; the scalar accessors below read and write
-the same storage, so both always see one source of truth.  A
-free-standing page (no space attached, as unit tests build them) falls
-back to plain per-object slots.
+Flat-state layout: a page is always built by its owner's
+``AddressSpace.map_region`` and keeps its dirty/referenced bits and
+access timestamp in that home space's flat numpy arrays (indexed by
+VPN), never in per-object slots.  The consume core updates whole runs
+of those arrays with a handful of vectorized ops; the scalar accessors
+below read and write the same storage, so both always see one source of
+truth.  Residency is kept twice: in a ``_resident`` slot, because the
+fault path reads it on every fault and a slot read is about 3x cheaper
+than a numpy element read, and in the residency bitmap of every space
+that maps the page, which the setter updates on each flip.
 """
 
 from __future__ import annotations
@@ -65,11 +67,8 @@ class Page:
         "vpn",
         "owner_name",
         "_resident",
+        "_home",
         "_spaces",
-        "_flags",
-        "_dirty",
-        "_referenced",
-        "_last_access_us",
         "mapcount",
         "swap_entry",
         "reserved_entry",
@@ -82,24 +81,21 @@ class Page:
         "prefetch_timestamp_us",
     )
 
-    def __init__(self, vpn: int, owner_name: str = "", mapcount: int = 1):
+    def __init__(self, space, vpn: int):
         self.page_id: int = next(_page_ids)
         self.vpn = vpn
-        self.owner_name = owner_name
-        #: Address spaces beyond the flag home also mirroring this page's
+        self.owner_name = space.name
+        #: The space that maps this page first (its owner): its flat
+        #: arrays hold the page's dirty/referenced/timestamp state.
+        self._home = space
+        #: Address spaces beyond the home also mirroring this page's
         #: residency (see ``resident``).  Almost always empty — only
         #: shared mappings populate it — so the hot setter touches the
         #: home space directly and skips the loop.
         self._spaces: tuple = ()
-        #: The space whose flat arrays hold this page's dirty/referenced/
-        #: timestamp state (the first space attached); None while the page
-        #: is free-standing and the ``_dirty``/... slots are authoritative.
-        self._flags = None
+        #: A new page is resident; ``map_region`` sets its bitmap bits.
         self._resident = True
-        self._dirty = False
-        self._referenced = False
-        self._last_access_us = 0.0
-        self.mapcount = mapcount
+        self.mapcount = 1
         #: PTE contents while swapped out (None when resident).
         self.swap_entry: Optional["SwapEntry"] = None
         #: Canvas: entry ID remembered in struct page (§5.1 reservation).
@@ -121,48 +117,27 @@ class Page:
 
     @property
     def dirty(self) -> bool:
-        space = self._flags
-        if space is None:
-            return self._dirty
-        return bool(space.dirty_bits[self.vpn])
+        return bool(self._home.dirty_bits[self.vpn])
 
     @dirty.setter
     def dirty(self, value: bool) -> None:
-        space = self._flags
-        if space is None:
-            self._dirty = value
-        else:
-            space.dirty_bits[self.vpn] = value
+        self._home.dirty_bits[self.vpn] = value
 
     @property
     def referenced(self) -> bool:
-        space = self._flags
-        if space is None:
-            return self._referenced
-        return bool(space.referenced_bits[self.vpn])
+        return bool(self._home.referenced_bits[self.vpn])
 
     @referenced.setter
     def referenced(self, value: bool) -> None:
-        space = self._flags
-        if space is None:
-            self._referenced = value
-        else:
-            space.referenced_bits[self.vpn] = value
+        self._home.referenced_bits[self.vpn] = value
 
     @property
     def last_access_us(self) -> float:
-        space = self._flags
-        if space is None:
-            return self._last_access_us
-        return float(space.last_access_arr[self.vpn])
+        return float(self._home.last_access_arr[self.vpn])
 
     @last_access_us.setter
     def last_access_us(self, value: float) -> None:
-        space = self._flags
-        if space is None:
-            self._last_access_us = value
-        else:
-            space.last_access_arr[self.vpn] = value
+        self._home.last_access_arr[self.vpn] = value
 
     @property
     def resident(self) -> bool:
@@ -170,56 +145,29 @@ class Page:
 
     @resident.setter
     def resident(self, value: bool) -> None:
-        """Flip residency, keeping every mapping space's O(1) residency
-        map and bitmap (the batched fast path's classification arrays)
-        and incremental resident counter in sync."""
-        changed = value != self._resident
+        """Flip residency, keeping every mapping space's residency bitmap
+        (the batched fast path's classification array) in sync."""
         self._resident = value
-        entry = self if value else None
-        home = self._flags
-        if home is not None:
-            vpn = self.vpn
-            home.resident_map[vpn] = entry
-            home.resident_bits[vpn] = value
-            if changed:
-                home._resident_count += 1 if value else -1
-            if self._spaces:
-                for space in self._spaces:
-                    space.resident_map[vpn] = entry
-                    space.resident_bits[vpn] = value
-                    if changed:
-                        space._resident_count += 1 if value else -1
+        vpn = self.vpn
+        self._home.resident_bits[vpn] = value
+        if self._spaces:
+            for space in self._spaces:
+                space.resident_bits[vpn] = value
 
     def attach_space(self, space) -> None:
-        """Register an address space whose residency map mirrors this page.
-
-        The first attached space becomes the page's flag home: the
-        current slot-held dirty/referenced/timestamp values migrate into
-        its flat arrays and the arrays become authoritative.  Later
-        spaces (shared mappings) land in ``_spaces`` and are mirrored by
-        the residency setter's slow loop.
-        """
-        vpn = self.vpn
-        if self._flags is None:
-            self._flags = space
-            space.dirty_bits[vpn] = self._dirty
-            space.referenced_bits[vpn] = self._referenced
-            space.last_access_arr[vpn] = self._last_access_us
-        else:
-            self._spaces = self._spaces + (space,)
-        space.resident_map[vpn] = self if self._resident else None
-        space.resident_bits[vpn] = self._resident
-        if self._resident:
-            space._resident_count += 1
+        """Mirror this page's residency into ``space``, which maps it
+        shared (``AddressSpace.map_shared_from``); its flag bits stay in
+        the home space."""
+        self._spaces = self._spaces + (space,)
+        space.resident_bits[self.vpn] = self._resident
 
     @property
     def flag_space(self):
-        """The address space whose flat arrays home this page's flag bits
-        (None for a free-standing page).  Lets batch consumers (the swap
-        cache's vectorized shrink scan) gather ``dirty_bits`` for a run
-        of same-home pages in one numpy op instead of one property call
-        per page."""
-        return self._flags
+        """The address space whose flat arrays home this page's flag
+        bits.  Lets batch consumers (the swap cache's vectorized shrink
+        scan) gather ``dirty_bits`` for a run of same-home pages in one
+        numpy op instead of one property call per page."""
+        return self._home
 
     @property
     def shared(self) -> bool:
@@ -232,18 +180,12 @@ class Page:
 
     def touch(self, now_us: float, write: bool = False) -> None:
         """Record an access: set referenced (and dirty for writes)."""
-        space = self._flags
-        if space is None:
-            self._referenced = True
-            self._last_access_us = now_us
-            if write:
-                self._dirty = True
-        else:
-            vpn = self.vpn
-            space.referenced_bits[vpn] = True
-            space.last_access_arr[vpn] = now_us
-            if write:
-                space.dirty_bits[vpn] = True
+        space = self._home
+        vpn = self.vpn
+        space.referenced_bits[vpn] = True
+        space.last_access_arr[vpn] = now_us
+        if write:
+            space.dirty_bits[vpn] = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

@@ -150,9 +150,7 @@ class SwapCache:
         if not clean_only or not candidates:
             return candidates
         home = candidates[0][1].flag_space
-        if home is not None and all(
-            page.flag_space is home for _, page in candidates
-        ):
+        if all(page.flag_space is home for _, page in candidates):
             vpns = np.fromiter(
                 (page.vpn for _, page in candidates),
                 dtype=np.int64,

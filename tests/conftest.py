@@ -15,10 +15,12 @@ chunks, the form ``spawn_app`` drives.
 from repro.core import CanvasSwapSystem
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig
 from repro.kernel.swap_system import BaseSwapSystem
+from repro.mem import AddressSpace
 from repro.rdma import RdmaOp, RdmaRequest, RequestKind
 from repro.workloads.batch import chunk_stream
 
 __all__ = [
+    "mapped_pages",
     "build_canvas",
     "build_shared_corun",
     "seq_stream",
@@ -28,6 +30,19 @@ __all__ = [
     "pooled_request",
     "record_group_sizes",
 ]
+
+
+def mapped_pages(n, space="app"):
+    """``n`` fresh pages mapped by ``map_region``, the only way a page
+    is built: their flag bits live in the space's flat arrays.
+
+    ``space`` is an ``AddressSpace`` to map into, or the name of a
+    fresh one.
+    """
+    if isinstance(space, str):
+        space = AddressSpace(space)
+    vma = space.map_region(n)
+    return [space.pages[vpn] for vpn in vma.vpns()]
 
 
 def build_canvas(machine, canvas_config=None, apps_spec=None):

@@ -74,7 +74,9 @@ def faulted_run(system, fault_config=None, workloads=("memcached",), seed=11):
     return run_experiment(list(workloads), config)
 
 
-def rack_run(system, fault_config, n_servers=4, apps=("memcached",), seed=11):
+def rack_run(
+    system, fault_config, n_servers=4, apps=("memcached",), seed=11, scale=0.03
+):
     """A scaled run on an n-server rack, drained past app completion.
 
     Apps finish before background migration necessarily does; the
@@ -83,7 +85,7 @@ def rack_run(system, fault_config, n_servers=4, apps=("memcached",), seed=11):
     """
     config = ExperimentConfig(
         system=system,
-        scale=0.03,
+        scale=scale,
         seed=seed,
         cluster=ClusterConfig(n_servers=n_servers),
         fault_config=fault_config,

@@ -4,9 +4,10 @@ import pytest
 
 from repro.core.adaptive_alloc import AdaptiveSwapManager
 from repro.kernel import AppContext, CgroupConfig
-from repro.mem import Page, PageState
+from repro.mem import PageState
 from repro.sim import Engine
 from repro.swap import SwapPartition
+from tests.conftest import mapped_pages
 
 
 def make_manager(n_entries=128, high=0.75, **kwargs):
@@ -17,13 +18,6 @@ def make_manager(n_entries=128, high=0.75, **kwargs):
         engine, partition, app, reservation_high_occupancy=high, **kwargs
     )
     return engine, partition, app, manager
-
-
-def app_pages(app, n):
-    """``n`` fresh pages mapped into the app's space (the LRU ages them
-    over that space's arrays)."""
-    vma = app.space.map_region(n)
-    return [app.space.page(vpn) for vpn in vma.vpns()]
 
 
 def obtain(engine, manager, page, core=0):
@@ -40,7 +34,7 @@ def obtain(engine, manager, page, core=0):
 
 def test_first_swapout_allocates_and_reserves():
     engine, partition, app, manager = make_manager()
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     entry = obtain(engine, manager, page)
     assert page.reserved_entry is entry
     assert entry.reserved
@@ -50,7 +44,7 @@ def test_first_swapout_allocates_and_reserves():
 
 def test_second_swapout_is_lock_free():
     engine, partition, app, manager = make_manager()
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     first = obtain(engine, manager, page)
     second = obtain(engine, manager, page)
     assert second is first  # same remote cell reused
@@ -64,7 +58,7 @@ def test_no_reservation_granted_near_exhaustion():
     # Drain the partition down to the writeback-headroom guard.
     while partition.free_count > manager.reserve_guard + 1:
         partition.pop_free()
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     obtain(engine, manager, page)
     assert page.reserved_entry is None
     assert manager.stats.reservations_granted == 0
@@ -77,14 +71,14 @@ def test_reservation_still_granted_under_scanner_pressure():
     for _ in range(20):
         partition.pop_free()
     assert manager.under_pressure  # scanner active
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     obtain(engine, manager, page)
     assert page.reserved_entry is not None
 
 
 def test_on_mapped_keeps_reserved_entry():
     engine, partition, app, manager = make_manager()
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     entry = obtain(engine, manager, page)
     page.swap_entry = entry
     manager.on_mapped(page)
@@ -97,7 +91,7 @@ def test_on_mapped_frees_unreserved_entry():
     engine, partition, app, manager = make_manager(n_entries=16, high=0.0)
     while partition.free_count > manager.reserve_guard + 1:
         partition.pop_free()  # near exhaustion: grants denied
-    page = Page(0x10)
+    (page,) = mapped_pages(1, app.space)
     entry = obtain(engine, manager, page)
     assert page.reserved_entry is None
     page.swap_entry = entry
@@ -109,19 +103,19 @@ def test_on_mapped_frees_unreserved_entry():
 
 def test_on_evicted_state_transitions():
     engine, partition, app, manager = make_manager()
-    reserved_page = Page(1)
+    (reserved_page,) = mapped_pages(1, app.space)
     obtain(engine, manager, reserved_page)
     manager.on_evicted(reserved_page)
     assert reserved_page.state is PageState.COLD_RESERVED
 
-    bare_page = Page(2)
+    (bare_page,) = mapped_pages(1, app.space)
     manager.on_evicted(bare_page)
     assert bare_page.state is PageState.COLD_NO_RESERVATION
 
 
 def test_reserve_prepopulated():
     engine, partition, app, manager = make_manager()
-    page = Page(3)
+    (page,) = mapped_pages(1, app.space)
     entry = partition.pop_free()
     page.swap_entry = entry
     manager.reserve_prepopulated(page)
@@ -132,14 +126,14 @@ def test_reserve_prepopulated():
 def test_reserve_prepopulated_requires_entry():
     engine, partition, app, manager = make_manager()
     with pytest.raises(ValueError):
-        manager.reserve_prepopulated(Page(4))
+        manager.reserve_prepopulated(*mapped_pages(1, app.space))
 
 
 def test_hot_scan_removes_reservation_under_pressure():
     engine, partition, app, manager = make_manager(
         n_entries=64, high=0.10, hot_threshold=2
     )
-    (page,) = app_pages(app, 1)
+    (page,) = mapped_pages(1, app.space)
     entry = obtain(engine, manager, page)  # granted (occupancy still low)
     # Make the partition pressured and the page hot (resident + LRU head).
     for _ in range(30):
@@ -162,7 +156,7 @@ def test_hot_score_resets_when_page_leaves_head():
     engine, partition, app, manager = make_manager(
         n_entries=64, high=0.0, hot_threshold=5, scan_fraction=0.01
     )
-    pages = app_pages(app, 100)
+    pages = mapped_pages(100, app.space)
     for page in pages:
         page.resident = True
         app.lru.insert(page)
@@ -180,7 +174,7 @@ def test_hot_score_resets_when_page_leaves_head():
 
 def test_no_scanning_without_pressure():
     engine, partition, app, manager = make_manager(n_entries=1024, high=0.99)
-    (page,) = app_pages(app, 1)
+    (page,) = mapped_pages(1, app.space)
     obtain(engine, manager, page)
     page.resident = True
     page.swap_entry = page.reserved_entry
@@ -195,7 +189,7 @@ def test_emergency_release_frees_resident_reservations():
     """Allocations never starve: when the partition approaches
     exhaustion, reservations held by resident pages are recycled."""
     engine, partition, app, manager = make_manager(n_entries=8, high=0.99)
-    pages = app_pages(app, 12)  # more pages than entries
+    pages = mapped_pages(12, app.space)  # more pages than entries
     for page in pages:
         entry = obtain(engine, manager, page)
         assert entry is not None
@@ -208,20 +202,20 @@ def test_emergency_release_frees_resident_reservations():
 
 def test_emergency_release_only_touches_resident_pages():
     engine, partition, app, manager = make_manager(n_entries=4, high=0.99)
-    cold = Page(0)
+    (cold,) = mapped_pages(1, app.space)
     obtain(engine, manager, cold)
     cold.resident = False  # cold page: its entry holds the only data copy
     for _ in range(3):
         partition.pop_free()
     assert partition.free_count == 0
     with pytest.raises(RuntimeError):
-        obtain(engine, manager, Page(1))
+        obtain(engine, manager, *mapped_pages(1, app.space))
     assert cold.reserved_entry is not None  # untouched
 
 
 def test_lock_free_fraction():
     engine, partition, app, manager = make_manager()
-    page = Page(0)
+    (page,) = mapped_pages(1, app.space)
     obtain(engine, manager, page)
     obtain(engine, manager, page)
     obtain(engine, manager, page)

@@ -559,6 +559,26 @@ def test_rack_drain_during_fault_storm_migrates_clean():
     _assert_rack_clean(result)
 
 
+@pytest.mark.parametrize("system", ["canvas", "infiniswap"])
+def test_rack_drain_at_scale_grows_the_exhausted_partition(system):
+    """At scale 0.3 the drain retires so many entries that a partition
+    runs dry mid-run: memcached's own partition on Canvas (after the
+    adaptive manager's emergency release found nothing to cancel), the
+    shared one on Infiniswap.  The allocation path grows the partition
+    by one rack chunk instead of failing, and the co-run finishes
+    clean."""
+    result = rack_run(
+        system,
+        RACK_SCENARIOS["server-drain"],
+        apps=("snappy", "memcached"),
+        scale=0.3,
+    )
+    for app in result.apps.values():
+        assert app.finished_at_us is not None
+    assert result.rack.stats.servers_drained == 1
+    _assert_rack_clean(result)
+
+
 def test_rack_double_failure_survivors_absorb_both_waves():
     result = rack_run("canvas", RACK_SCENARIOS["double-failure"])
     stats = result.rack.stats

@@ -317,7 +317,6 @@ def _controller():
     controller.stats = SloStats()
     controller._states = {}
     controller._scheduler = system.scheduler
-    controller._proc = None
     return controller, system, telemetry
 
 

@@ -2,17 +2,13 @@
 
 import pytest
 
-from repro.mem import Page
+from tests.conftest import mapped_pages
 from tests.lru_reference import ActiveInactiveLRU, LRUList
-
-
-def make_pages(n):
-    return [Page(vpn) for vpn in range(n)]
 
 
 def test_lru_add_and_pop_order():
     lru = LRUList()
-    pages = make_pages(3)
+    pages = mapped_pages(3)
     for page in pages:
         lru.add_to_head(page)
     assert lru.pop_tail() is pages[0]
@@ -23,7 +19,7 @@ def test_lru_add_and_pop_order():
 
 def test_lru_move_to_head_changes_victim():
     lru = LRUList()
-    pages = make_pages(3)
+    pages = mapped_pages(3)
     for page in pages:
         lru.add_to_head(page)
     lru.move_to_head(pages[0])
@@ -32,7 +28,7 @@ def test_lru_move_to_head_changes_victim():
 
 def test_lru_duplicate_add_rejected():
     lru = LRUList()
-    page = Page(0)
+    (page,) = mapped_pages(1)
     lru.add_to_head(page)
     with pytest.raises(ValueError):
         lru.add_to_head(page)
@@ -40,7 +36,7 @@ def test_lru_duplicate_add_rejected():
 
 def test_lru_head_pages_mru_first():
     lru = LRUList()
-    pages = make_pages(5)
+    pages = mapped_pages(5)
     for page in pages:
         lru.add_to_head(page)
     head = lru.head_pages(3)
@@ -49,7 +45,7 @@ def test_lru_head_pages_mru_first():
 
 def test_lru_head_pages_larger_than_list():
     lru = LRUList()
-    pages = make_pages(2)
+    pages = mapped_pages(2)
     for page in pages:
         lru.add_to_head(page)
     assert len(lru.head_pages(10)) == 2
@@ -57,7 +53,7 @@ def test_lru_head_pages_larger_than_list():
 
 def test_lru_discard():
     lru = LRUList()
-    page = Page(0)
+    (page,) = mapped_pages(1)
     assert not lru.discard(page)
     lru.add_to_head(page)
     assert lru.discard(page)
@@ -66,7 +62,7 @@ def test_lru_discard():
 
 def test_active_inactive_insert_goes_inactive():
     lru = ActiveInactiveLRU()
-    page = Page(0)
+    (page,) = mapped_pages(1)
     lru.insert(page)
     assert page in lru.inactive
     assert page not in lru.active
@@ -74,7 +70,7 @@ def test_active_inactive_insert_goes_inactive():
 
 def test_access_promotes_to_active():
     lru = ActiveInactiveLRU()
-    page = Page(0)
+    (page,) = mapped_pages(1)
     lru.insert(page)
     lru.note_access(page)
     assert page in lru.active
@@ -83,12 +79,12 @@ def test_access_promotes_to_active():
 def test_access_unknown_page_raises():
     lru = ActiveInactiveLRU()
     with pytest.raises(ValueError):
-        lru.note_access(Page(0))
+        lru.note_access(*mapped_pages(1))
 
 
 def test_select_victim_prefers_inactive_tail():
     lru = ActiveInactiveLRU()
-    pages = make_pages(3)
+    pages = mapped_pages(3)
     for page in pages:
         lru.insert(page)
     victim = lru.select_victim()
@@ -97,7 +93,7 @@ def test_select_victim_prefers_inactive_tail():
 
 def test_select_victim_gives_second_chance():
     lru = ActiveInactiveLRU()
-    pages = make_pages(2)
+    pages = mapped_pages(2)
     for page in pages:
         lru.insert(page)
     pages[0].referenced = True
@@ -108,7 +104,7 @@ def test_select_victim_gives_second_chance():
 
 def test_select_victim_falls_back_to_active():
     lru = ActiveInactiveLRU()
-    pages = make_pages(4)
+    pages = mapped_pages(4)
     for page in pages:
         lru.insert(page)
         lru.note_access(page)  # all active
@@ -119,7 +115,7 @@ def test_select_victim_falls_back_to_active():
 
 def test_balance_demotes_active_tail():
     lru = ActiveInactiveLRU()
-    pages = make_pages(4)
+    pages = mapped_pages(4)
     for page in pages:
         lru.insert(page)
         lru.note_access(page)
@@ -130,7 +126,7 @@ def test_balance_demotes_active_tail():
 
 def test_remove_from_either_list():
     lru = ActiveInactiveLRU()
-    a, b = make_pages(2)
+    a, b = mapped_pages(2)
     lru.insert(a)
     lru.insert(b)
     lru.note_access(b)
@@ -141,7 +137,7 @@ def test_remove_from_either_list():
 
 def test_len_and_contains():
     lru = ActiveInactiveLRU()
-    page = Page(0)
+    (page,) = mapped_pages(1)
     assert page not in lru
     lru.insert(page)
     assert page in lru
@@ -152,7 +148,7 @@ def test_select_victim_rotates_all_referenced_tail_pages():
     """An all-referenced inactive list is aged one full rotation: every
     page loses its referenced bit, then the original tail is evicted."""
     lru = ActiveInactiveLRU()
-    pages = make_pages(3)
+    pages = mapped_pages(3)
     for page in pages:
         lru.insert(page)
         page.referenced = True
@@ -165,7 +161,7 @@ def test_select_victim_rotates_all_referenced_tail_pages():
 
 def test_select_victim_rotation_preserves_scan_order():
     lru = ActiveInactiveLRU()
-    pages = make_pages(4)
+    pages = mapped_pages(4)
     for page in pages:
         lru.insert(page)
     pages[0].referenced = True
@@ -191,7 +187,7 @@ def test_balance_on_empty_lists_is_noop():
 
 def test_balance_with_all_pages_inactive_demotes_nothing():
     lru = ActiveInactiveLRU()
-    pages = make_pages(3)
+    pages = mapped_pages(3)
     for page in pages:
         lru.insert(page)
     assert lru.balance(0.5) == 0
@@ -201,7 +197,7 @@ def test_balance_with_all_pages_inactive_demotes_nothing():
 def test_balance_exhausts_active_list_without_spinning():
     """A target the active list cannot satisfy stops at an empty list."""
     lru = ActiveInactiveLRU()
-    pages = make_pages(2)
+    pages = mapped_pages(2)
     for page in pages:
         lru.insert(page)
         lru.note_access(page)  # all active
@@ -213,7 +209,7 @@ def test_balance_exhausts_active_list_without_spinning():
 
 def test_balance_clears_referenced_bit_on_demotion():
     lru = ActiveInactiveLRU()
-    pages = make_pages(2)
+    pages = mapped_pages(2)
     for page in pages:
         lru.insert(page)
         lru.note_access(page)
@@ -247,9 +243,12 @@ class _Mirror:
         self.flat = GenerationLRU(self.space, name="flat", epoch_limit=epoch_limit)
         self.linked = ActiveInactiveLRU(name="linked")
         self.vpns = list(vma.vpns())
-        # Free-standing twin pages for the linked side so referenced-bit
-        # traffic from one structure cannot leak into the other.
-        self.linked_pages = {vpn: Page(vpn) for vpn in self.vpns}
+        # Twin pages (same VPNs, from a twin space) for the linked side,
+        # so referenced-bit traffic from one structure cannot leak into
+        # the other.
+        twin = AddressSpace("linked")
+        twin.map_region(n_pages)
+        self.linked_pages = {vpn: twin.pages[vpn] for vpn in self.vpns}
         self.flat_pages = {vpn: self.space.pages[vpn] for vpn in self.vpns}
         self.on_lru = []  # vpns currently inserted
 
@@ -604,7 +603,7 @@ def test_select_victims_drains_to_empty_and_stops():
 def test_active_inactive_select_victims_matches_serial():
     """The linked-list baseline's select_victims is the serial loop."""
     lru_a, lru_b = ActiveInactiveLRU(), ActiveInactiveLRU()
-    pages_a, pages_b = make_pages(10), make_pages(10)
+    pages_a, pages_b = mapped_pages(10), mapped_pages(10)
     for a, b in zip(pages_a, pages_b):
         lru_a.insert(a)
         lru_b.insert(b)
@@ -613,4 +612,4 @@ def test_active_inactive_select_victims_matches_serial():
     batched = lru_a.select_victims(8, stop=stop)
     serial = _serial_select(lru_b, 8, stop=stop)
     assert [p.vpn for p in batched] == [p.vpn for p in serial]
-    assert batched[-1].vpn == 4
+    assert batched[-1] is pages_a[4]

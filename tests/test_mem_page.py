@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.mem import PAGE_SIZE, AddressSpace, Page, PageState
+from repro.mem import PAGE_SIZE, AddressSpace, PageState
+from tests.conftest import mapped_pages
 
 
 def test_page_defaults():
-    page = Page(0x10, owner_name="app")
+    (page,) = mapped_pages(1, "app")
+    assert page.owner_name == "app"
+    assert page.flag_space.name == "app"
     assert page.resident
     assert not page.dirty
     assert page.mapcount == 1
@@ -18,7 +21,7 @@ def test_page_defaults():
 
 
 def test_page_touch_sets_bits():
-    page = Page(1)
+    (page,) = mapped_pages(1)
     page.touch(5.0)
     assert page.referenced
     assert not page.dirty
@@ -28,11 +31,12 @@ def test_page_touch_sets_bits():
 
 
 def test_page_ids_unique():
-    assert Page(0).page_id != Page(0).page_id
+    a, b = mapped_pages(2)
+    assert a.page_id != b.page_id
 
 
 def test_shared_page_detection():
-    page = Page(0)
+    (page,) = mapped_pages(1)
     page.mapcount = 2
     assert page.shared
 
@@ -92,6 +96,41 @@ def test_resident_pages_counts():
     assert space.resident_pages == 5
     space.page(vma.start_vpn).resident = False
     assert space.resident_pages == 4
+
+
+def test_map_region_sets_resident_bits_and_clears_flags():
+    space = AddressSpace("app")
+    a = space.map_region(3)
+    b = space.map_region(2)
+    for vma in (a, b):
+        assert space.resident_bits[vma.start_vpn : vma.end_vpn].all()
+    assert space.resident_bits.sum() == 5  # guard gaps stay clear
+    assert not space.dirty_bits.any() and not space.referenced_bits.any()
+
+
+def test_shared_page_flags_stay_home_and_residency_mirrors():
+    """A shared page's flag bits live only in its home space's arrays;
+    a residency flip lands in the bitmap of every space that maps it."""
+    owner = AddressSpace("a")
+    other = AddressSpace("b")
+    vma = owner.map_region(4, name="lib")
+    other.map_shared_from(owner, vma)
+    page = owner.page(vma.start_vpn + 1)
+    vpn = page.vpn
+    assert page.flag_space is owner
+    page.dirty = True
+    page.touch(7.0)
+    assert owner.dirty_bits[vpn] and owner.referenced_bits[vpn]
+    assert owner.last_access_arr[vpn] == 7.0
+    assert not other.dirty_bits.any() and not other.referenced_bits.any()
+    assert not other.last_access_arr.any()
+    assert other.resident_bits[vpn] and owner.resident_bits[vpn]
+    page.resident = False
+    assert not owner.resident_bits[vpn] and not other.resident_bits[vpn]
+    assert owner.resident_pages == other.resident_pages == 3
+    page.resident = True
+    assert owner.resident_bits[vpn] and other.resident_bits[vpn]
+    assert owner.resident_pages == other.resident_pages == 4
 
 
 def test_vma_rejects_empty():

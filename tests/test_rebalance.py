@@ -6,9 +6,9 @@ from repro.core.canvas import CanvasConfig, CanvasSwapSystem
 from repro.core.rebalance import CacheRebalancer
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig
-from repro.mem import Page
 from repro.sim import Engine
 from repro.swap import SwapCache, SwapPartition
+from tests.conftest import mapped_pages
 
 
 def make_caches(engine, budgets):
@@ -18,9 +18,8 @@ def make_caches(engine, budgets):
 
 
 def fill(cache, part, n, prefetched=False):
-    for _ in range(n):
-        entry = part.pop_free()
-        cache.insert(entry, Page(entry.entry_id), prefetched=prefetched)
+    for page in mapped_pages(n):
+        cache.insert(part.pop_free(), page, prefetched=prefetched)
 
 
 def test_budget_conserved_across_rounds():

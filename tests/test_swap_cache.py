@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.mem import Page
 from repro.swap import SwapCache, SwapPartition
+from tests.conftest import mapped_pages
 
 
 def make_cache(capacity=8):
@@ -15,7 +15,7 @@ def make_cache(capacity=8):
 def test_insert_and_lookup_hit():
     part, cache = make_cache()
     entry = part.pop_free()
-    page = Page(0x10)
+    (page,) = mapped_pages(1)
     cache.insert(entry, page)
     assert page.in_swap_cache
     assert cache.lookup(entry) is page
@@ -33,7 +33,7 @@ def test_lookup_miss():
 def test_prefetch_hit_counted():
     part, cache = make_cache()
     entry = part.pop_free()
-    cache.insert(entry, Page(1), prefetched=True)
+    cache.insert(entry, *mapped_pages(1), prefetched=True)
     cache.lookup(entry)
     assert cache.stats.prefetch_hits == 1
     assert cache.stats.prefetch_insertions == 1
@@ -42,7 +42,7 @@ def test_prefetch_hit_counted():
 def test_demand_hit_not_counted_as_prefetch():
     part, cache = make_cache()
     entry = part.pop_free()
-    cache.insert(entry, Page(1), prefetched=False)
+    cache.insert(entry, *mapped_pages(1), prefetched=False)
     cache.lookup(entry)
     assert cache.stats.prefetch_hits == 0
 
@@ -50,15 +50,16 @@ def test_demand_hit_not_counted_as_prefetch():
 def test_duplicate_insert_rejected():
     part, cache = make_cache()
     entry = part.pop_free()
-    cache.insert(entry, Page(1))
+    first, second = mapped_pages(2)
+    cache.insert(entry, first)
     with pytest.raises(ValueError):
-        cache.insert(entry, Page(2))
+        cache.insert(entry, second)
 
 
 def test_remove_clears_flag():
     part, cache = make_cache()
     entry = part.pop_free()
-    page = Page(1)
+    (page,) = mapped_pages(1)
     cache.insert(entry, page)
     assert cache.remove(entry) is page
     assert not page.in_swap_cache
@@ -74,30 +75,31 @@ def test_discard_missing_is_none():
 def test_overflow_and_shrink_candidates():
     part, cache = make_cache(capacity=2)
     entries = [part.pop_free() for _ in range(4)]
-    for i, entry in enumerate(entries):
-        cache.insert(entry, Page(i))
+    pages = mapped_pages(4)
+    for entry, page in zip(entries, pages):
+        cache.insert(entry, page)
     assert cache.full
     assert cache.overflow == 2
     candidates = cache.shrink_candidates(2)
     # LRU first: the two oldest insertions.
-    assert [page.vpn for _, page in candidates] == [0, 1]
+    assert [page for _, page in candidates] == pages[:2]
 
 
 def test_shrink_skips_locked_pages():
     part, cache = make_cache(capacity=1)
     e0, e1 = part.pop_free(), part.pop_free()
-    locked = Page(0)
+    locked, unlocked = mapped_pages(2)
     locked.locked = True
     cache.insert(e0, locked)
-    cache.insert(e1, Page(1))
+    cache.insert(e1, unlocked)
     candidates = cache.shrink_candidates(1)
-    assert [page.vpn for _, page in candidates] == [1]
+    assert [page for _, page in candidates] == [unlocked]
 
 
 def test_release_counts_unused_prefetch():
     part, cache = make_cache()
     entry = part.pop_free()
-    cache.insert(entry, Page(0), prefetched=True)
+    cache.insert(entry, *mapped_pages(1), prefetched=True)
     cache.release(entry.entry_id)
     assert cache.stats.shrink_evictions == 1
     assert cache.stats.evicted_unused_prefetches == 1
@@ -106,17 +108,18 @@ def test_release_counts_unused_prefetch():
 def test_lookup_refreshes_lru_order():
     part, cache = make_cache(capacity=2)
     e0, e1 = part.pop_free(), part.pop_free()
-    cache.insert(e0, Page(0))
-    cache.insert(e1, Page(1))
+    p0, p1 = mapped_pages(2)
+    cache.insert(e0, p0)
+    cache.insert(e1, p1)
     cache.lookup(e0)  # refresh page 0
     candidates = cache.shrink_candidates(1)
-    assert [page.vpn for _, page in candidates] == [1]
+    assert [page for _, page in candidates] == [p1]
 
 
 def test_hit_ratio():
     part, cache = make_cache()
     entry = part.pop_free()
-    cache.insert(entry, Page(0))
+    cache.insert(entry, *mapped_pages(1))
     cache.lookup(entry)
     missing = part.pop_free()
     cache.lookup(missing)

@@ -21,7 +21,6 @@ import pytest
 from repro.faults import FaultConfig, FaultPlan
 from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
-from repro.mem import Page
 from repro.sim import Engine
 from repro.sim.rng import derive_seed
 from repro.swap import SwapPartition
@@ -32,7 +31,12 @@ from repro.swap.allocator import (
     PerCoreClusterAllocator,
 )
 from repro.swap.swap_cache import SwapCache
-from tests.conftest import build_shared_corun, build_system, sequential_accesses
+from tests.conftest import (
+    build_shared_corun,
+    build_system,
+    mapped_pages,
+    sequential_accesses,
+)
 from tests.golden.matrix import shared_ledger_errors
 
 N_ENTRIES = 512
@@ -141,7 +145,9 @@ def test_swap_cache_random_ops_match_shadow_model(seed):
     part = SwapPartition("p", 128)
     cache = SwapCache("c", capacity_pages=32)
     entries = [part.pop_free() for _ in range(96)]
-    pages = {e.entry_id: Page(vpn=i, owner_name="a") for i, e in enumerate(entries)}
+    pages = {
+        e.entry_id: page for e, page in zip(entries, mapped_pages(len(entries), "a"))
+    }
     shadow = {}
 
     for _ in range(2000):
@@ -247,19 +253,22 @@ def _shared_corun(system="linux", shared=True, touch_shared=True, seed=5):
 
 @pytest.mark.parametrize("shared", [False, True])
 def test_residency_accounting_reconciles(shared):
-    """The O(1) resident counter, the residency bitmap, the resident_map,
-    and a full page-dict scan must always agree in every space, and the
-    frame-pool charge ledger must balance — on a plain two-app co-run
-    and on one where both apps touch a shared region."""
+    """The residency bitmap, ``resident_pages`` and a full page-dict
+    scan must always agree in every space, and the frame-pool charge
+    ledger must balance — on a plain two-app co-run and on one where
+    both apps touch a shared region."""
     system, apps = _shared_corun(shared=shared)
     assert any(app.space.has_foreign_pages for app in apps.values()) == shared
     for app in apps.values():
         assert app.finished_at_us is not None
         space = app.space
         by_dict = sum(1 for p in space.pages.values() if p.resident)
-        by_map = sum(1 for p in space.resident_map if p is not None)
-        by_bits = int(space.resident_bits.sum())
-        assert space.resident_pages == by_dict == by_map == by_bits
+        by_bits = int(np.count_nonzero(space.resident_bits))
+        assert space.resident_pages == by_dict == by_bits
+        assert all(
+            space.resident_bits[vpn] == page.resident
+            for vpn, page in space.pages.items()
+        )
         pool = app.pool
         assert pool.stats.charges - pool.stats.uncharges == pool.used
         # The LRU classification covers exactly the LRU members, and
