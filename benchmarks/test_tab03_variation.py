@@ -10,7 +10,6 @@ depending on who its neighbours are.
 import statistics
 
 from _common import (
-    MANAGED_ELEVEN,
     NATIVES,
     config,
     prewarm,

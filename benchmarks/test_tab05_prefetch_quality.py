@@ -15,15 +15,6 @@ MANAGED = ["spark_lr", "spark_km", "spark_tc", "neo4j"]
 
 
 def _run():
-    leap = config(
-        "canvas",
-        two_tier_prefetch=False,
-        prefetcher="leap",  # unused by canvas; kernel tier overridden below
-    )
-    # Canvas with Leap as the (isolated) kernel-tier prefetcher:
-    from repro.core.canvas import CanvasConfig
-    from repro.prefetch.leap import LeapPrefetcher
-
     data = {}
     for managed in MANAGED:
         group = NATIVES + [managed]

@@ -11,12 +11,14 @@ memory, on four swap systems:
   * Canvas (full)  — isolation + adaptive allocation + two-tier
                      prefetching + two-dimensional RDMA scheduling
 
-and prints each application's slowdown versus running alone.
+and prints each application's slowdown versus running alone.  Every
+run, solo or co-run, is one ``run_experiment`` call; a solo run passes
+a one-name workload list.
 
 Run:  python examples/corun_interference.py
 """
 
-from repro.harness import ExperimentConfig, run_experiment, run_individual
+from repro.harness import ExperimentConfig, run_experiment
 from repro.metrics import format_table
 
 GROUP = ["snappy", "memcached", "xgboost", "spark_lr"]
@@ -35,7 +37,7 @@ def main() -> None:
     print("running individual baselines ...")
     solo = {}
     for name in GROUP:
-        solo[name] = run_individual(name, base).completion_time(name)
+        solo[name] = run_experiment([name], base).completion_time(name)
 
     rows = []
     for label, system in SYSTEMS:

@@ -11,12 +11,14 @@ prefetching configurations:
   * two-tier    — kernel tier + Canvas's JVM reference-graph /
                   per-thread semantic prefetching (§5.2)
 
-and prints completion time, contribution, and accuracy for each.
+and prints completion time, contribution, and accuracy for each.  Each
+configuration is one ``run_experiment([APP], config)`` call, the
+harness's individual run.
 
 Run:  python examples/prefetcher_comparison.py
 """
 
-from repro.harness import ExperimentConfig, run_individual
+from repro.harness import ExperimentConfig, run_experiment
 from repro.metrics import format_table
 
 APP = "graphx_cc"
@@ -44,7 +46,7 @@ def main() -> None:
     rows = []
     for label, config in configs:
         print(f"running {APP} with {label} prefetching ...")
-        result = run_individual(APP, config)
+        result = run_experiment([APP], config)
         outcome = result.results[APP]
         rows.append(
             [

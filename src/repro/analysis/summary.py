@@ -50,7 +50,9 @@ def summarize(result: ExperimentResult) -> Dict[str, AppSummary]:
     summaries: Dict[str, AppSummary] = {}
     for name, app in result.apps.items():
         stats = app.stats
-        elapsed = app.completion_time_us or result.elapsed_us
+        elapsed = app.completion_time_us
+        if elapsed is None:
+            elapsed = result.elapsed_us
         demand_hist = result.telemetry.latency_hist(name, RequestKind.DEMAND)
         app_result = result.results[name]
         summaries[name] = AppSummary(

@@ -24,8 +24,8 @@ scheduling) are expressed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Generator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Generator, Optional
 
 from repro.core.adaptive_alloc import AdaptiveSwapManager
 from repro.core.rdma_sched import TwoDimensionalScheduler
@@ -34,7 +34,7 @@ from repro.kernel.cgroup import AppContext
 from repro.kernel.swap_system import BaseSwapSystem, SwapSystemConfig
 from repro.kernel.telemetry import Telemetry
 from repro.kernel.userfaultfd import UserfaultfdChannel
-from repro.mem.page import Page, PageState
+from repro.mem.page import Page
 from repro.obs.trace import DEMAND_ISSUE, PF_DROP
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.readahead import KernelReadahead
@@ -42,7 +42,6 @@ from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
 from repro.rdma.nic import RNIC
 from repro.sim.engine import DEBUG_EVENT_NAMES, Engine, Event
 from repro.swap.allocator import EntryAllocator, FreeListAllocator
-from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
 from repro.swap.swap_cache import SwapCache
 

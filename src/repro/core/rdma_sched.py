@@ -25,7 +25,7 @@ Swap-outs are subject to fair scheduling only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.kernel.telemetry import Telemetry

@@ -16,7 +16,6 @@ from repro.harness.experiment import (
     ExperimentConfig,
     ExperimentResult,
     run_experiment,
-    run_individual,
 )
 from repro.harness.machine import Machine
 from repro.harness.parallel import (
@@ -34,7 +33,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "run_experiment",
-    "run_individual",
     "Machine",
     "FaultRecord",
     "FaultTracer",

@@ -11,14 +11,21 @@ Encodes the paper's §6 methodology:
 * baselines share one partition sized to the same total remote memory,
   one swap cache, and one prefetcher instance.
 
-``run_experiment`` handles any system kind × any set of workloads, solo
-or co-run; every benchmark file drives it with different knobs.
+Runs have one bring-up and two entry points.  ``_assemble`` builds the
+machine and the swap system and attaches the rack, fault plan and tracer
+in the order app registration needs; ``_admit`` registers one cgroup and
+warms it.  ``run_experiment`` runs a fixed roster of workloads, solo or
+co-run, on any system kind (every benchmark file drives it with
+different knobs); ``run_churn`` runs an open-loop traffic day whose
+sessions arrive, run and unregister.  Both return an
+:class:`ExperimentResult`; a churn run's :class:`ChurnResult` adds the
+traffic plan and the SLO controller.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional
 
 from repro.baselines.fastswap import FastswapSystem
 from repro.baselines.infiniswap import InfiniswapSystem
@@ -38,7 +45,7 @@ from repro.obs.trace import TraceBuffer
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.leap import LeapPrefetcher
 from repro.prefetch.readahead import KernelReadahead
-from repro.swap.allocator import FreeListAllocator, Linux514Allocator
+from repro.swap.allocator import Linux514Allocator
 from repro.workloads.base import Workload
 from repro.workloads.batch import emit_batches
 from repro.workloads.registry import make_workload
@@ -61,6 +68,21 @@ DEFAULT_CORES = {
     "xgboost": 16,
 }
 MANAGED_CORES = 24
+
+#: Config fields keyed by app name; a key naming no app in the run is a
+#: typo, and churn sessions are generated, so they have no names to key.
+_PER_APP_FIELDS = ("workload_overrides", "cores_override", "rdma_weights")
+
+#: The shared-partition systems: kind -> (class, extra constructor kwargs).
+_SHARED_SYSTEMS = {
+    "linux": (LinuxSwapSystem, {}),
+    "linux514": (
+        LinuxSwapSystem,
+        {"allocator_cls": Linux514Allocator, "name": "linux514"},
+    ),
+    "fastswap": (FastswapSystem, {}),
+    "infiniswap": (InfiniswapSystem, {}),
+}
 
 
 @dataclass
@@ -188,9 +210,10 @@ class ExperimentResult:
         self.results: Dict[str, AppResult] = {}
         for name, app in apps.items():
             issued = app.stats.prefetches_issued
+            completion = app.completion_time_us
             self.results[name] = AppResult(
                 name=name,
-                completion_time_us=app.completion_time_us or float("nan"),
+                completion_time_us=float("nan") if completion is None else completion,
                 stats=app.stats,
                 prefetch_contribution=app.stats.prefetch_contribution,
                 prefetch_accuracy=(
@@ -226,43 +249,16 @@ def _build_system(
         setattr(sys_config, key, value)
     prefetcher = _make_prefetcher(config)
     kind = config.system
-    if kind == "linux":
-        return LinuxSwapSystem(
+    if kind in _SHARED_SYSTEMS:
+        system_cls, extra = _SHARED_SYSTEMS[kind]
+        return system_cls(
             machine.engine,
             machine.nic,
             partition_pages=total_remote_pages,
             prefetcher=prefetcher,
             telemetry=machine.telemetry,
             config=sys_config,
-        )
-    if kind == "linux514":
-        return LinuxSwapSystem(
-            machine.engine,
-            machine.nic,
-            partition_pages=total_remote_pages,
-            prefetcher=prefetcher,
-            telemetry=machine.telemetry,
-            config=sys_config,
-            allocator_cls=Linux514Allocator,
-            name="linux514",
-        )
-    if kind == "fastswap":
-        return FastswapSystem(
-            machine.engine,
-            machine.nic,
-            partition_pages=total_remote_pages,
-            prefetcher=prefetcher,
-            telemetry=machine.telemetry,
-            config=sys_config,
-        )
-    if kind == "infiniswap":
-        return InfiniswapSystem(
-            machine.engine,
-            machine.nic,
-            partition_pages=total_remote_pages,
-            prefetcher=prefetcher,
-            telemetry=machine.telemetry,
-            config=sys_config,
+            **extra,
         )
     if kind in ("canvas", "canvas-iso"):
         isolation_only = kind == "canvas-iso"
@@ -297,24 +293,13 @@ def _make_prefetcher(config: ExperimentConfig) -> Optional[Prefetcher]:
     raise ValueError(f"unknown prefetcher {config.prefetcher!r}")
 
 
-def run_experiment(
-    workload_names: List[str],
-    config: ExperimentConfig,
-    profiler=None,
-) -> ExperimentResult:
-    """Build the machine + system + apps, run to completion, summarize.
+def _assemble(config: ExperimentConfig, total_remote_pages: int):
+    """Build the machine and swap system, then attach the rack, the fault
+    plan and the tracer, in that order and before any app registers.
 
-    ``profiler`` (a :class:`repro.metrics.SimProfiler`) runs the engine
-    under cProfile and folds its host time into per-layer seconds; the
-    simulation runs the same code either way, so results never change.
-    Open-loop traffic and the SLO loop run only under :func:`run_churn`,
-    so a config carrying either is rejected here rather than ignored.
+    Returns ``(machine, system, rack, tracer)``; ``rack`` and ``tracer``
+    are ``None`` unless the config asks for them.
     """
-    for field_name in ("traffic", "slo"):
-        if getattr(config, field_name) is not None:
-            raise ValueError(
-                f"run_experiment cannot run config.{field_name}; use run_churn"
-            )
     from repro.rdma.nic import DEFAULT_BANDWIDTH_BYTES_PER_US
 
     bandwidth = DEFAULT_BANDWIDTH_BYTES_PER_US * config.bandwidth_scale
@@ -324,27 +309,7 @@ def run_experiment(
         read_bandwidth_bytes_per_us=bandwidth,
         write_bandwidth_bytes_per_us=bandwidth,
     )
-    workloads = []
-    for name in workload_names:
-        workload = make_workload(name, scale=config.scale)
-        for attr, value in config.workload_overrides.get(name, {}).items():
-            if not hasattr(workload, attr):
-                raise AttributeError(f"{name} workload has no attribute {attr!r}")
-            setattr(workload, attr, value)
-        workloads.append(workload)
-
-    sizing = []
-    total_remote = 0
-    for workload in workloads:
-        ws = workload.working_set_pages
-        local_pages = max(64, int(ws * config.local_memory_fraction))
-        headroom = max(160, int(ws * config.partition_headroom))
-        remote_pages = max(256, ws - local_pages + headroom)
-        total_remote += remote_pages
-        sizing.append((workload, local_pages, remote_pages))
-
-    system = _build_system(machine, config, total_remote)
-    is_canvas = isinstance(system, CanvasSwapSystem)
+    system = _build_system(machine, config, total_remote_pages)
     # The rack attaches before any app registers: Canvas adopts each
     # per-cgroup partition in _setup_app, and the linux-family shared
     # partition is adopted here.  It also precedes the tracer attach so
@@ -364,13 +329,73 @@ def run_experiment(
         system.fault_plan = fault_plan
         if rack is not None:
             rack.schedule_plan(fault_plan)
-
     # The tracer attaches before any app registers so per-app structures
     # (LRU lists, allocators) pick it up as they are created.
     tracer = None
     if config.trace:
         tracer = TraceBuffer(machine.engine, capacity=config.trace_capacity)
         system.attach_tracer(tracer)
+    return machine, system, rack, tracer
+
+
+def _admit(system: BaseSwapSystem, app: AppContext, working_set_pages: int) -> None:
+    """Register one built cgroup and warm its local memory."""
+    system.register_app(app)
+    # Resident fraction leaves kswapd headroom below the low watermark.
+    resident_fraction = min(
+        0.999 * app.config.local_memory_pages / working_set_pages * 0.85,
+        1.0,
+    )
+    system.prepopulate(app, resident_fraction)
+
+
+def run_experiment(
+    workload_names: List[str],
+    config: ExperimentConfig,
+    profiler=None,
+) -> ExperimentResult:
+    """Build the machine + system + apps, run to completion, summarize.
+
+    ``profiler`` (a :class:`repro.metrics.SimProfiler`) runs the engine
+    under cProfile and folds its host time into per-layer seconds; the
+    simulation runs the same code either way, so results never change.
+    Open-loop traffic and the SLO loop run only under :func:`run_churn`,
+    so a config carrying either is rejected here rather than ignored, as
+    is a per-app override keyed by an app this run does not have.
+    """
+    for field_name in ("traffic", "slo"):
+        if getattr(config, field_name) is not None:
+            raise ValueError(
+                f"run_experiment cannot run config.{field_name}; use run_churn"
+            )
+    for field_name in _PER_APP_FIELDS:
+        unknown = sorted(set(getattr(config, field_name)) - set(workload_names))
+        if unknown:
+            raise ValueError(
+                f"config.{field_name} names {', '.join(map(repr, unknown))}, "
+                f"not in this run's workloads {workload_names}"
+            )
+    workloads = []
+    for name in workload_names:
+        workload = make_workload(name, scale=config.scale)
+        for attr, value in config.workload_overrides.get(name, {}).items():
+            if not hasattr(workload, attr):
+                raise AttributeError(f"{name} workload has no attribute {attr!r}")
+            setattr(workload, attr, value)
+        workloads.append(workload)
+
+    sizing = []
+    total_remote = 0
+    for workload in workloads:
+        ws = workload.working_set_pages
+        local_pages = max(64, int(ws * config.local_memory_fraction))
+        headroom = max(160, int(ws * config.partition_headroom))
+        remote_pages = max(256, ws - local_pages + headroom)
+        total_remote += remote_pages
+        sizing.append((workload, local_pages, remote_pages))
+
+    machine, system, rack, tracer = _assemble(config, total_remote)
+    is_canvas = isinstance(system, CanvasSwapSystem)
 
     apps: Dict[str, AppContext] = {}
     processes = []
@@ -390,13 +415,7 @@ def run_experiment(
         app = AppContext(machine.engine, cgroup)
         build_rng = machine.rng.child(workload.name).stream("build")
         workload.build(app, build_rng)
-        system.register_app(app)
-        # Resident fraction leaves kswapd headroom below the low watermark.
-        resident_fraction = min(
-            0.999 * local_pages / workload.working_set_pages * 0.85,
-            1.0,
-        )
-        system.prepopulate(app, resident_fraction)
+        _admit(system, app, workload.working_set_pages)
         stream_rng = machine.rng.child(workload.name).stream("streams")
         streams = workload.thread_batch_streams(app, stream_rng)
         processes.append(
@@ -425,20 +444,14 @@ def run_experiment(
     return ExperimentResult(machine, system, apps, elapsed, trace=tracer, rack=rack)
 
 
-def run_individual(
-    workload_name: str, config: ExperimentConfig
-) -> ExperimentResult:
-    """Run one application alone (the paper's 'individual run')."""
-    return run_experiment([workload_name], config)
-
-
 # ----------------------------------------------------------------------
 # Traffic-driven churn: sessions arrive, run, and unregister.
 # ----------------------------------------------------------------------
 
 
-class ChurnResult:
-    """Everything a churn benchmark needs after a traffic-driven run.
+class ChurnResult(ExperimentResult):
+    """An :class:`ExperimentResult` for a traffic-driven run, plus the
+    traffic plan and the SLO controller.
 
     ``apps`` holds every session's :class:`AppContext` — the contexts
     outlive their unregistration (the system forgets them; the result
@@ -456,17 +469,15 @@ class ChurnResult:
         rack: Optional[Rack] = None,
         slo: Optional[SloController] = None,
     ):
-        self.machine = machine
-        self.system = system
+        super().__init__(machine, system, apps, elapsed_us, trace=trace, rack=rack)
         self.plan = plan
-        self.apps = apps
-        self.elapsed_us = elapsed_us
-        self.trace = trace
-        self.rack = rack
-        self.rack_stats = rack.stats if rack is not None else None
         self.slo = slo
         self.slo_stats = slo.stats if slo is not None else None
-        self.telemetry = machine.telemetry
+
+    def __getstate__(self) -> dict:
+        # The inherited snapshot would drop the plan and the SLO stats,
+        # and a departed session has no system state left to snapshot.
+        raise TypeError("a ChurnResult does not pickle; use churn_digest")
 
     def digest(self) -> str:
         """Stable fingerprint of every simulated per-session outcome."""
@@ -503,23 +514,19 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
     cgroup, run its access stream, then tear the cgroup down through
     ``unregister_app``.  With every session departing, the end state
     must be leak-free — the churn invariant tests assert it on the live
-    system this returns.
+    system this returns.  Sessions are generated, so the per-app
+    override fields have no app to apply to and are rejected.
     """
     if config.traffic is None:
         raise ValueError("run_churn needs config.traffic (a TrafficConfig)")
+    for field_name in _PER_APP_FIELDS:
+        if getattr(config, field_name):
+            raise ValueError(
+                f"run_churn cannot apply config.{field_name}: "
+                "churn sessions are generated"
+            )
     plan = make_traffic_plan(config.traffic, config.seed)
     traffic = config.traffic
-
-    from repro.rdma.nic import DEFAULT_BANDWIDTH_BYTES_PER_US
-
-    bandwidth = DEFAULT_BANDWIDTH_BYTES_PER_US * config.bandwidth_scale
-    machine = Machine(
-        seed=config.seed,
-        telemetry_bin_us=config.telemetry_bin_us,
-        read_bandwidth_bytes_per_us=bandwidth,
-        write_bandwidth_bytes_per_us=bandwidth,
-    )
-    engine = machine.engine
 
     sizing = []
     total_remote = 0
@@ -531,27 +538,9 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
         total_remote += remote
         sizing.append(remote)
 
-    system = _build_system(machine, config, max(4096, total_remote))
+    machine, system, rack, tracer = _assemble(config, max(4096, total_remote))
+    engine = machine.engine
     is_canvas = isinstance(system, CanvasSwapSystem)
-
-    rack = None
-    if config.cluster is not None:
-        rack = Rack(engine, machine.nic, config.cluster, seed=config.seed)
-        system.rack = rack
-        shared_partition = getattr(system, "partition", None)
-        if shared_partition is not None:
-            rack.adopt(system, shared_partition, getattr(system, "allocator", None))
-    fault_plan = make_plan(config.fault_config, config.seed)
-    if fault_plan is not None:
-        machine.nic.fault_plan = fault_plan
-        system.fault_plan = fault_plan
-        if rack is not None:
-            rack.schedule_plan(fault_plan)
-
-    tracer = None
-    if config.trace:
-        tracer = TraceBuffer(engine, capacity=config.trace_capacity)
-        system.attach_tracer(tracer)
 
     slo = None
     if config.slo is not None:
@@ -583,16 +572,8 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
         )
         app = AppContext(engine, cgroup)
         vma = app.space.map_region(session.working_set_pages, name="heap")
-        system.register_app(app)
+        _admit(system, app, session.working_set_pages)
         apps[session.name] = app
-        resident_fraction = min(
-            0.999
-            * session.local_memory_pages
-            / session.working_set_pages
-            * 0.85,
-            1.0,
-        )
-        system.prepopulate(app, resident_fraction)
         stream = _session_stream(plan, session, vma, traffic.cpu_us_per_access)
         proc = spawn_app(system, app, [stream], cpu_flush_us=config.cpu_flush_us)
         yield proc

@@ -8,8 +8,6 @@ RNG registry so experiments construct everything from one seed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.kernel.telemetry import Telemetry
 from repro.rdma.nic import (
     DEFAULT_BANDWIDTH_BYTES_PER_US,

@@ -10,7 +10,7 @@ cores, statistics).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.mem.address_space import AddressSpace

@@ -14,7 +14,7 @@ application-tier prefetcher needs extra compute resources to run."
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Generator, List, Optional
 
 from repro.kernel.cgroup import AppContext
 from repro.sim.engine import Engine

@@ -20,8 +20,8 @@ only per-thread pattern analysis for native programs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 from repro.prefetch.reference_graph import PageGroupGraph, ReferenceGraphPrefetcher
 from repro.prefetch.thread_pattern import ThreadPatternPrefetcher

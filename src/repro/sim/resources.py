@@ -10,7 +10,7 @@ of the headline measurements in the Canvas paper (Figs. 4, 13, 15, 16).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Generator, Optional
 
 from repro.sim.engine import DEBUG_EVENT_NAMES, Engine, Event, SimulationError

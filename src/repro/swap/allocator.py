@@ -27,7 +27,7 @@ Canvas's *adaptive* allocator (§5.1) builds on these and lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional
 
 import numpy as np

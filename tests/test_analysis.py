@@ -14,13 +14,13 @@ from repro.analysis import (
     slowdown_matrix,
     summarize,
 )
-from repro.harness import ExperimentConfig, run_experiment, run_individual
+from repro.harness import ExperimentConfig, run_experiment
 from repro.metrics import BandwidthMeter, Histogram, RateMeter
 
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_individual("memcached", ExperimentConfig(system="canvas", scale=0.1))
+    return run_experiment(["memcached"], ExperimentConfig(system="canvas", scale=0.1))
 
 
 def test_summarize_produces_per_app_records(small_result):
@@ -44,8 +44,8 @@ def test_summary_as_dict_roundtrip(small_result):
 
 
 def test_slowdown_matrix():
-    solo = run_individual("snappy", ExperimentConfig(system="linux", scale=0.1))
-    canvas = run_individual("snappy", ExperimentConfig(system="canvas", scale=0.1))
+    solo = run_experiment(["snappy"], ExperimentConfig(system="linux", scale=0.1))
+    canvas = run_experiment(["snappy"], ExperimentConfig(system="canvas", scale=0.1))
     baseline = {"snappy": solo.completion_time("snappy")}
     matrix = slowdown_matrix({"linux": solo, "canvas": canvas}, baseline)
     assert matrix["linux"]["snappy"] == pytest.approx(1.0)

@@ -1,7 +1,5 @@
 """Integration tests for Canvas's §5.3 scheduling behaviours."""
 
-import pytest
-
 from repro.core import CanvasConfig, CanvasSwapSystem
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.driver import run_to_completion, spawn_app

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -122,3 +124,30 @@ def test_trace_command_with_scenario(tmp_path, capsys):
     assert code == 0
     assert "invariant checker: ok" in capsys.readouterr().out
     assert out_path.exists()
+
+
+def test_churn_command(capsys):
+    code = main(
+        ["churn", "--sessions", "12", "--slo-target-us", "8",
+         "--fault-scenario", "drops"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"still registered\s+0\s", out)
+    assert "slo rounds" in out and "slo breaches" in out
+    assert "digest: " in out
+
+
+def test_rack_command(capsys):
+    code = main(
+        ["rack", "--apps", "snappy", "memcached", "--scale", "0.05",
+         "--servers", "1", "3", "--scenario", "server-death"]
+    )
+    assert code == 0
+    rows = {
+        line.split()[0]: line
+        for line in capsys.readouterr().out.splitlines()
+        if line[:1].isdigit()
+    }
+    assert "scenario skipped" in rows["1"]
+    assert "ledger ok" in rows["3"]

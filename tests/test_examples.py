@@ -1,7 +1,6 @@
 """The example scripts must keep running as the library evolves."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

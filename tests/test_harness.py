@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.harness import ExperimentConfig, run_experiment, run_individual
+from repro.baselines.fastswap import FastswapSystem
+from repro.baselines.infiniswap import InfiniswapSystem
+from repro.cli import SYSTEMS
+from repro.core import CanvasSwapSystem
+from repro.harness import ExperimentConfig, run_experiment
+from repro.kernel.swap_system import LinuxSwapSystem
+from repro.swap.allocator import FreeListAllocator, Linux514Allocator
 
 
 def small(system="linux", **kwargs):
@@ -12,7 +18,7 @@ def small(system="linux", **kwargs):
 
 
 def test_individual_run_produces_result():
-    res = run_individual("memcached", small())
+    res = run_experiment(["memcached"], small())
     assert "memcached" in res.results
     assert res.completion_time("memcached") > 0
     assert res.apps["memcached"].stats.faults > 0
@@ -26,12 +32,12 @@ def test_corun_all_apps_finish():
 
 def test_unknown_system_rejected():
     with pytest.raises(ValueError):
-        run_individual("snappy", small(system="windows"))
+        run_experiment(["snappy"], small(system="windows"))
 
 
 def test_unknown_prefetcher_rejected():
     with pytest.raises(ValueError):
-        run_individual("snappy", small(prefetcher="psychic"))
+        run_experiment(["snappy"], small(prefetcher="psychic"))
 
 
 @pytest.mark.parametrize("field_name", ["traffic", "slo"])
@@ -54,13 +60,13 @@ def test_cores_follow_paper_defaults():
 
 def test_cores_override():
     cfg = small(cores_override={"snappy": 8})
-    res = run_individual("snappy", cfg)
+    res = run_experiment(["snappy"], cfg)
     assert res.apps["snappy"].config.n_cores == 8
 
 
 def test_local_memory_fraction_respected():
     cfg = small(local_memory_fraction=0.5)
-    res = run_individual("memcached", cfg)
+    res = run_experiment(["memcached"], cfg)
     app = res.apps["memcached"]
     ws = app.space.total_pages
     assert app.pool.capacity_pages == pytest.approx(ws * 0.5, rel=0.1)
@@ -75,49 +81,131 @@ def test_canvas_gets_private_partitions():
 
 
 def test_canvas_iso_disables_optimizations():
-    res = run_individual("memcached", small(system="canvas-iso"))
+    res = run_experiment(["memcached"], small(system="canvas-iso"))
     assert res.system.adaptive_stats("memcached") is None
 
 
 def test_system_config_overrides_applied():
     cfg = small(system_config_overrides={"kswapd_batch": 2})
-    res = run_individual("snappy", cfg)
+    res = run_experiment(["snappy"], cfg)
     assert res.system.config.kswapd_batch == 2
 
 
 def test_system_config_overrides_unknown_key():
     with pytest.raises(AttributeError):
-        run_individual("snappy", small(system_config_overrides={"bogus": 1}))
+        run_experiment(["snappy"], small(system_config_overrides={"bogus": 1}))
 
 
 def test_determinism_same_seed_same_result():
-    a = run_individual("memcached", small(seed=7))
-    b = run_individual("memcached", small(seed=7))
+    a = run_experiment(["memcached"], small(seed=7))
+    b = run_experiment(["memcached"], small(seed=7))
     assert a.completion_time("memcached") == b.completion_time("memcached")
     assert a.apps["memcached"].stats.faults == b.apps["memcached"].stats.faults
 
 
 def test_different_seeds_differ():
-    a = run_individual("memcached", small(seed=1))
-    b = run_individual("memcached", small(seed=2))
+    a = run_experiment(["memcached"], small(seed=1))
+    b = run_experiment(["memcached"], small(seed=2))
     assert a.completion_time("memcached") != b.completion_time("memcached")
 
 
 def test_prefetch_metrics_populated():
-    res = run_individual("snappy", small())
+    res = run_experiment(["snappy"], small())
     result = res.results["snappy"]
     assert 0.0 <= result.prefetch_contribution <= 1.0
     assert result.prefetch_accuracy >= 0.0
 
 
-def test_infiniswap_system_runs():
-    res = run_individual("memcached", small(system="infiniswap"))
+#: Every CLI system kind -> (system class, system.name, allocator class).
+SYSTEM_KINDS = {
+    "linux": (LinuxSwapSystem, "linux", FreeListAllocator),
+    "linux514": (LinuxSwapSystem, "linux514", Linux514Allocator),
+    "fastswap": (FastswapSystem, "fastswap", FreeListAllocator),
+    "infiniswap": (InfiniswapSystem, "infiniswap", FreeListAllocator),
+    "canvas-iso": (CanvasSwapSystem, "canvas", FreeListAllocator),
+    "canvas": (CanvasSwapSystem, "canvas", FreeListAllocator),
+}
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+def test_system_kind_table(kind):
+    system_cls, name, allocator_cls = SYSTEM_KINDS[kind]
+    res = run_experiment(["memcached"], small(system=kind))
+    assert type(res.system) is system_cls
+    assert res.system.name == name
+    if system_cls is CanvasSwapSystem:
+        allocator = res.system.global_allocator
+    else:
+        allocator = res.system.allocator
+    assert type(allocator) is allocator_cls
     assert res.completion_time("memcached") > 0
 
 
-def test_linux514_system_runs():
-    res = run_individual("memcached", small(system="linux514"))
-    assert res.completion_time("memcached") > 0
+def test_zero_completion_time_is_not_missing():
+    """An app with no accesses finishes at time 0.0, which is a
+    completion time, not a missing one."""
+    from repro.analysis.summary import summarize
+
+    res = run_experiment(
+        ["snappy", "memcached"],
+        small(workload_overrides={"snappy": {"accesses_per_thread": 0}}),
+    )
+    assert res.apps["snappy"].completion_time_us == 0.0
+    assert res.completion_time("snappy") == 0.0
+    assert res.elapsed_us > 0
+    assert summarize(res)["snappy"].completion_time_ms == 0.0
+
+
+#: One valid per-app value for each config field keyed by app name.
+PER_APP_VALUES = {
+    "workload_overrides": {"n_threads": 2},
+    "cores_override": 2,
+    "rdma_weights": 1.0,
+}
+
+
+@pytest.mark.parametrize("field_name", sorted(PER_APP_VALUES))
+def test_per_app_override_for_absent_app_rejected(field_name):
+    value = {"snapy": PER_APP_VALUES[field_name]}
+    with pytest.raises(ValueError, match=f"config.{field_name} names 'snapy'"):
+        run_experiment(["snappy"], small(**{field_name: value}))
+
+
+@pytest.mark.parametrize("field_name", sorted(PER_APP_VALUES))
+def test_run_churn_rejects_per_app_overrides(field_name):
+    from repro.harness.experiment import run_churn
+    from repro.workloads.traffic import TrafficConfig
+
+    with pytest.raises(ValueError, match=f"config.{field_name}"):
+        run_churn(
+            small(
+                system="canvas",
+                traffic=TrafficConfig(n_sessions=2),
+                **{field_name: {"s0": PER_APP_VALUES[field_name]}},
+            )
+        )
+
+
+def test_churn_result_is_an_experiment_result():
+    """A churn result reads like any other result, and never pickles into
+    one that has silently lost its plan or SLO stats."""
+    import pickle
+
+    from repro.core.slo import SloConfig
+    from repro.harness import ExperimentResult
+    from repro.harness.experiment import run_churn
+    from repro.workloads.traffic import TrafficConfig
+
+    res = run_churn(
+        small(system="linux", traffic=TrafficConfig(n_sessions=4), slo=SloConfig())
+    )
+    assert isinstance(res, ExperimentResult)
+    assert sorted(res.results) == sorted(res.apps)
+    for name, app in res.apps.items():
+        assert res.completion_time(name) == app.completion_time_us
+    assert res.slo_stats is not None and len(res.plan.sessions) == 4
+    with pytest.raises(TypeError):
+        pickle.dumps(res)
 
 
 # -- Disk-cache key coverage ----------------------------------------------

@@ -1,7 +1,5 @@
 """Edge-case tests for the swap data path."""
 
-import pytest
-
 from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig, LinuxSwapSystem, SwapSystemConfig

@@ -1,7 +1,5 @@
 """Tests for the dynamic swap-cache rebalancing extension."""
 
-import pytest
-
 from repro.core.canvas import CanvasConfig, CanvasSwapSystem
 from repro.core.rebalance import CacheRebalancer
 from repro.harness.machine import Machine

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import CanvasConfig, CanvasSwapSystem, DemandDrivenRemoteMemory
-from repro.core.remote_memory import RemoteMemoryStats
 from repro.harness.driver import run_to_completion, spawn_app
 from repro.harness.machine import Machine
 from repro.kernel import AppContext, CgroupConfig
