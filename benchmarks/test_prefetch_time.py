@@ -16,11 +16,6 @@ MANAGED = ["spark_lr", "spark_km", "spark_tc", "neo4j"]
 def _run():
     kernel_only = config("canvas", two_tier_prefetch=False)
     two_tier = config("canvas", two_tier_prefetch=True)
-    leap = config(
-        "canvas",
-        two_tier_prefetch=False,
-        system_config_overrides={"max_inflight_prefetches": 96},
-    )
     data = {}
     for managed in MANAGED:
         group = NATIVES + [managed]

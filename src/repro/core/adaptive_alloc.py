@@ -28,7 +28,7 @@ from typing import Generator, Optional, Set
 from repro.kernel.cgroup import AppContext
 from repro.mem.page import Page, PageState
 from repro.sim.engine import Engine
-from repro.swap.allocator import FreeListAllocator
+from repro.swap.allocator import EntryAllocator
 from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
 
@@ -61,7 +61,7 @@ class AdaptiveSwapManager:
         engine: Engine,
         partition: SwapPartition,
         app: AppContext,
-        base_allocator: Optional[FreeListAllocator] = None,
+        base_allocator: Optional[EntryAllocator] = None,
         reservation_high_occupancy: float = 0.75,
         scan_period_us: float = 2_000.0,
         scan_fraction: float = 0.10,
@@ -74,7 +74,7 @@ class AdaptiveSwapManager:
         self.base_allocator = (
             base_allocator
             if base_allocator is not None
-            else FreeListAllocator(engine, partition, name=f"{app.name}.alloc")
+            else EntryAllocator(engine, partition, name=f"{app.name}.alloc")
         )
         self.reservation_high_occupancy = reservation_high_occupancy
         self.scan_period_us = scan_period_us

@@ -41,7 +41,7 @@ from repro.prefetch.readahead import KernelReadahead
 from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
 from repro.rdma.nic import RNIC
 from repro.sim.engine import DEBUG_EVENT_NAMES, Engine, Event
-from repro.swap.allocator import EntryAllocator, FreeListAllocator
+from repro.swap.allocator import EntryAllocator
 from repro.swap.partition import SwapPartition
 from repro.swap.swap_cache import SwapCache
 
@@ -118,7 +118,7 @@ class CanvasSwapSystem(BaseSwapSystem):
         self.global_partition = SwapPartition(
             f"{name}.global", self.canvas.global_partition_pages
         )
-        self.global_allocator = FreeListAllocator(
+        self.global_allocator = EntryAllocator(
             engine, self.global_partition, name=f"{name}.global.alloc"
         )
         self.global_cache = SwapCache(
@@ -156,7 +156,7 @@ class CanvasSwapSystem(BaseSwapSystem):
             )
         else:
             state.partition = SwapPartition(f"{app.name}.swap", partition_pages)
-        base_alloc = FreeListAllocator(
+        base_alloc = EntryAllocator(
             self.engine, state.partition, name=f"{app.name}.alloc"
         )
         base_alloc.tracer = self.trace

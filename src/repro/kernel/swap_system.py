@@ -64,7 +64,7 @@ from repro.prefetch.base import Prefetcher
 from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind, acquire_request
 from repro.rdma.nic import RNIC
 from repro.sim.engine import DEBUG_EVENT_NAMES, Engine, Event
-from repro.swap.allocator import EntryAllocator, FreeListAllocator
+from repro.swap.allocator import EntryAllocator
 from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
 from repro.swap.swap_cache import SwapCache
@@ -1351,7 +1351,7 @@ class LinuxSwapSystem(BaseSwapSystem):
         prefetcher: Optional[Prefetcher] = None,
         telemetry: Optional[Telemetry] = None,
         config: Optional[SwapSystemConfig] = None,
-        allocator_cls=FreeListAllocator,
+        allocator_cls=EntryAllocator,
         name: str = "linux",
     ):
         super().__init__(engine, nic, telemetry, config, name)

@@ -24,11 +24,8 @@ class Telemetry:
         self.bin_us = bin_us
         self.read_bandwidth = BandwidthMeter(bin_us)
         self.write_bandwidth = BandwidthMeter(bin_us)
-        #: Latency histograms keyed by (app, kind-value).
-        self._latency: Dict[Tuple[str, str], Histogram] = {}
-        #: Same histograms keyed by (app, kind enum) — the completion
-        #: hook's hot-path alias of ``_latency``, never a separate store.
-        self._latency_by_kind: Dict[Tuple[str, RequestKind], Histogram] = {}
+        #: Latency histograms keyed by (app, request kind).
+        self._latency: Dict[Tuple[str, RequestKind], Histogram] = {}
         #: Swap-out page rates per app.
         self._swapout_rate: Dict[str, RateMeter] = {}
         #: Swap-entry allocation rates per app.
@@ -54,20 +51,17 @@ class Telemetry:
             )
         latency = request.latency_us
         if latency is not None:
-            # Inline latency_hist: this hook runs once per completed
-            # RDMA, so skip the enum ``.value`` descriptor on the hit
-            # path by keying the hot cache on the enum member itself.
-            key = (app_name, request.kind)
-            hist = self._latency_by_kind.get(key)
+            # Inline latency_hist's hit path: this hook runs once per
+            # completed RDMA.
+            hist = self._latency.get((app_name, request.kind))
             if hist is None:
                 hist = self.latency_hist(app_name, request.kind)
-                self._latency_by_kind[key] = hist
             hist.record(latency)
 
     # -- accessors ----------------------------------------------------------
 
     def latency_hist(self, app_name: str, kind: RequestKind) -> Histogram:
-        key = (app_name, kind.value)
+        key = (app_name, kind)
         hist = self._latency.get(key)
         if hist is None:
             hist = Histogram(name=f"{app_name}.{kind.value}.latency")
@@ -77,8 +71,8 @@ class Telemetry:
     def merged_latency(self, kind: RequestKind) -> Histogram:
         """All apps' samples for one request kind, merged."""
         merged = Histogram(name=f"all.{kind.value}.latency")
-        for (app, kind_value), hist in self._latency.items():
-            if kind_value == kind.value:
+        for (_app, hist_kind), hist in self._latency.items():
+            if hist_kind is kind:
                 merged.add_many(hist._samples)
         return merged
 

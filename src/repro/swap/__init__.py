@@ -2,11 +2,8 @@
 
 from repro.swap.allocator import (
     AllocatorStats,
-    BatchAllocator,
     EntryAllocator,
-    FreeListAllocator,
     Linux514Allocator,
-    PerCoreClusterAllocator,
 )
 from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
@@ -14,11 +11,8 @@ from repro.swap.swap_cache import SwapCache, SwapCacheStats
 
 __all__ = [
     "AllocatorStats",
-    "BatchAllocator",
     "EntryAllocator",
-    "FreeListAllocator",
     "Linux514Allocator",
-    "PerCoreClusterAllocator",
     "SwapEntry",
     "SwapPartition",
     "SwapCache",

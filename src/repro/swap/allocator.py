@@ -1,27 +1,28 @@
-"""Swap-entry allocation policies.
+"""Swap-entry allocation.
 
 Allocation is on the swap-out critical path: every evicted dirty page needs
 a fresh entry, and in stock Linux that means taking a shared lock and
-scanning a free list.  This module implements the allocator family the
-paper measures:
+scanning a free list.  The paper measures four forms of Linux's allocator;
+:class:`EntryAllocator` is all of them, chosen by two constructor knobs:
 
-* :class:`FreeListAllocator` — Linux 5.5's lock-protected free-list scan
-  (the baseline whose contention is Figs. 4, 13, 15, 16).
-* :class:`PerCoreClusterAllocator` — the Linux 5.8 patch [48] that gives
-  each core a random cluster of entries, with collisions when cores land on
-  the same cluster (Appendix B).
-* :class:`BatchAllocator` — the Linux 5.8 patch [46] that amortizes the
-  lock by grabbing several entries per acquisition (Appendix B).
-* :class:`Linux514Allocator` — both patches combined, the Linux 5.14
-  comparator in Fig. 16.
+* ``cluster_entries=None, batch_size=1`` — Linux 5.5's lock-protected
+  free-list scan (the baseline whose contention is Figs. 4, 13, 15, 16).
+* ``cluster_entries=N`` — the Linux 5.8 patch [48] that gives each core a
+  random cluster of ``N`` entries, with collisions when cores land on the
+  same cluster (Appendix B).
+* ``batch_size=B`` — the Linux 5.8 patch [46] that amortizes the lock by
+  grabbing ``B`` entries per acquisition into a per-core batch (Appendix B).
+* both — the Linux 5.14 comparator in Fig. 16, :class:`Linux514Allocator`.
 
-All allocators expose the same generator-based API: ``allocate(core_id)``
-is yielded from inside a simulation process and returns a
+Free entries live only in the :class:`~repro.swap.partition.SwapPartition`
+(split into clusters when ``cluster_entries`` is set); the allocator adds
+one lock per cluster and the per-core batches.  ``allocate(core_id)`` is
+yielded from inside a simulation process and returns a
 :class:`~repro.swap.entry.SwapEntry`; ``free(entry)`` is immediate (the
 kernel batches frees outside the hot path via the swap-slots cache, so we
 do not charge lock time for them).
 
-Canvas's *adaptive* allocator (§5.1) builds on these and lives in
+Canvas's *adaptive* allocator (§5.1) builds on this one and lives in
 :mod:`repro.core.adaptive_alloc`.
 """
 
@@ -38,14 +39,7 @@ from repro.sim.resources import SimLock
 from repro.swap.entry import SwapEntry
 from repro.swap.partition import SwapPartition
 
-__all__ = [
-    "AllocatorStats",
-    "EntryAllocator",
-    "FreeListAllocator",
-    "PerCoreClusterAllocator",
-    "BatchAllocator",
-    "Linux514Allocator",
-]
+__all__ = ["AllocatorStats", "EntryAllocator", "Linux514Allocator"]
 
 
 @dataclass
@@ -88,76 +82,6 @@ class AllocatorStats:
         return self.allocations / (window_us / 1e6)
 
 
-class EntryAllocator:
-    """Abstract base: an allocation policy bound to one partition."""
-
-    def __init__(self, engine: Engine, partition: SwapPartition, name: str = ""):
-        self.engine = engine
-        self.partition = partition
-        self.name = name or f"{partition.name}.alloc"
-        self.stats = AllocatorStats()
-        #: Optional :class:`repro.obs.TraceBuffer`.  Every path that
-        #: hands an entry out — ``allocate`` and ``take_free_untimed``
-        #: alike — emits ENTRY_ALLOC, and ``free`` emits ENTRY_FREE, so
-        #: alloc/free alternation per entry is checkable post-hoc.
-        #: (``take_free_untimed`` charges no simulated time, but under
-        #: churn a late-arriving app prepopulates mid-trace and may be
-        #: handed a just-freed entry; leaving setup untraced would make
-        #: its eventual free look like a double free.)
-        self.tracer = None
-        #: Optional :class:`repro.cluster.Rack`.  When set, ``free``
-        #: consults the rack so entries homed on a dead or draining
-        #: server retire instead of re-entering any free pool.
-        self.rack = None
-
-    def _trace_alloc(self, entry: SwapEntry) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(ENTRY_ALLOC, "", 0, entry.entry_id, self.name)
-
-    @property
-    def occupancy(self) -> float:
-        """Fraction of entries in use (policy-aware; see cluster variant)."""
-        return self.partition.occupancy
-
-    def allocate(self, core_id: int = 0) -> Generator:
-        """Simulation sub-generator: yields until an entry is obtained."""
-        raise NotImplementedError
-
-    def take_free_untimed(self) -> SwapEntry:
-        """Grab an entry outside simulated time (experiment setup only)."""
-        entry = self.partition.pop_free()
-        self._trace_alloc(entry)
-        return entry
-
-    def free(self, entry: SwapEntry) -> None:
-        """Return an entry to its partition's free pool (not timed)."""
-        if self.tracer is not None:
-            self.tracer.emit(ENTRY_FREE, "", 0, entry.entry_id, self.name)
-        rack = self.rack
-        if rack is not None and rack.entry_condemned(entry):
-            rack.retire_freed(entry)
-            self.stats.frees += 1
-            return
-        self.partition.push_free(entry)
-        self.stats.frees += 1
-
-    def retire_matching(self, server_id: int) -> List[SwapEntry]:
-        """Pull every pooled free entry homed on ``server_id``.
-
-        Called by the rack when a memory server dies or drains, so a
-        condemned entry can never be handed out again.  Returns the
-        victims (the rack retires them).  Policies with private caches
-        or cluster free lists override and extend this.
-        """
-        free = self.partition._free
-        victims = [e for e in free if e.server_id == server_id]
-        if victims:
-            keep = [e for e in free if e.server_id != server_id]
-            free.clear()
-            free.extend(keep)
-        return victims
-
-
 def _scan_cost_us(
     base_us: float, occupancy: float, scan_factor: float, max_multiplier: float = 4.0
 ) -> float:
@@ -174,55 +98,13 @@ def _scan_cost_us(
     return base_us * multiplier
 
 
-class FreeListAllocator(EntryAllocator):
-    """Linux 5.5: one lock, one free list, scan under the lock."""
+class EntryAllocator:
+    """The swap-entry allocator bound to one partition.
 
-    def __init__(
-        self,
-        engine: Engine,
-        partition: SwapPartition,
-        name: str = "",
-        base_scan_us: float = 2.5,
-        scan_factor: float = 0.10,
-    ):
-        super().__init__(engine, partition, name)
-        self.base_scan_us = base_scan_us
-        self.scan_factor = scan_factor
-        self.lock = SimLock(engine, f"{self.name}.lock")
-
-    def allocate(self, core_id: int = 0) -> Generator:
-        start = self.engine.now
-        yield self.lock.acquire()
-        self.stats.lock_acquisitions += 1
-        try:
-            cost = _scan_cost_us(self.base_scan_us, self.partition.occupancy, self.scan_factor)
-            yield self.engine.timeout(cost)
-            entry = self.partition.pop_free()
-        finally:
-            self.lock.release()
-        self.stats.record(start, self.engine.now)
-        self._trace_alloc(entry)
-        return entry
-
-
-class _Cluster:
-    """A slice of a partition's entries with its own lock and free list."""
-
-    __slots__ = ("index", "lock", "free")
-
-    def __init__(self, index: int, lock: SimLock, free: List[SwapEntry]):
-        self.index = index
-        self.lock = lock
-        self.free = free
-
-
-class PerCoreClusterAllocator(EntryAllocator):
-    """Linux 5.8 patch: per-core random cluster assignment.
-
-    Each core allocates from "its" cluster; when the cluster drains, the
-    core is assigned a new random non-empty one.  Two cores sharing a
-    cluster contend on that cluster's lock — the "core collision" whose
-    probability grows super-linearly with cores (Appendix B, Fig. 16).
+    ``cluster_entries`` (None: one free list, Linux 5.5) splits the
+    partition into per-core clusters; ``batch_size`` entries are taken
+    per lock acquisition into the calling core's batch.  The defaults
+    are Linux 5.5's free-list scan costs.
     """
 
     def __init__(
@@ -230,42 +112,70 @@ class PerCoreClusterAllocator(EntryAllocator):
         engine: Engine,
         partition: SwapPartition,
         name: str = "",
-        cluster_entries: int = 256,
-        base_scan_us: float = 1.2,
-        scan_factor: float = 0.25,
+        cluster_entries: Optional[int] = None,
+        batch_size: int = 1,
+        base_scan_us: float = 2.5,
+        scan_factor: float = 0.10,
+        per_entry_batch_us: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ):
-        super().__init__(engine, partition, name)
+        self.engine = engine
+        self.partition = partition
+        self.name = name or f"{partition.name}.alloc"
+        self.stats = AllocatorStats()
+        self.batch_size = batch_size
         self.base_scan_us = base_scan_us
         self.scan_factor = scan_factor
+        self.per_entry_batch_us = per_entry_batch_us
         self._rng = rng if rng is not None else np.random.default_rng(0)
-        self.clusters: List[_Cluster] = []
-        entries = partition.entries
-        for index, start in enumerate(range(0, len(entries), cluster_entries)):
-            chunk = [e for e in entries[start : start + cluster_entries]]
-            self.clusters.append(
-                _Cluster(index, SimLock(engine, f"{self.name}.c{index}"), chunk)
-            )
-        self._core_cluster: Dict[int, _Cluster] = {}
-        #: Entries already popped from clusters are marked allocated by the
-        #: partition; we bypass the partition free deque entirely and track
-        #: frees back into clusters.
-        self._entry_cluster: Dict[int, _Cluster] = {}
-        for cluster in self.clusters:
-            for entry in cluster.free:
-                self._entry_cluster[entry.entry_id] = cluster
-        # The partition's own deque is unused by this policy; drain it so
-        # occupancy still reads correctly via our own accounting.
-        self._allocated = 0
+        if cluster_entries is not None:
+            partition.split(cluster_entries)
+        #: One lock per partition cluster, added as the partition grows.
+        self._locks: List[SimLock] = []
+        #: Each core's current cluster index and its batch of entries
+        #: taken off the partition but not yet handed out.  Callers that
+        #: share a core id share its batch.
+        self._core_cluster: Dict[int, int] = {}
+        self._core_batch: Dict[int, List[SwapEntry]] = {}
+        #: Optional :class:`repro.obs.TraceBuffer`.  Every path that
+        #: hands an entry out — ``allocate`` and ``take_free_untimed``
+        #: alike — emits ENTRY_ALLOC, and ``free`` emits ENTRY_FREE, so
+        #: alloc/free alternation per entry is checkable post-hoc.
+        #: (``take_free_untimed`` charges no simulated time, but under
+        #: churn a late-arriving app prepopulates mid-trace and may be
+        #: handed a just-freed entry; leaving setup untraced would make
+        #: its eventual free look like a double free.)
+        self.tracer = None
+        #: Optional :class:`repro.cluster.Rack`.  When set, ``free``
+        #: consults the rack so entries homed on a dead or draining
+        #: server retire instead of re-entering the partition.
+        self.rack = None
+
+    def _trace_alloc(self, entry: SwapEntry) -> None:
+        if self.tracer is not None:
+            self.tracer.emit(ENTRY_ALLOC, "", 0, entry.entry_id, self.name)
 
     @property
     def occupancy(self) -> float:
-        return self._allocated / self.partition.n_entries
+        """Fraction of the partition's entries not free."""
+        return self.partition.occupancy
 
-    def _assign_cluster(self, core_id: int) -> Optional[_Cluster]:
-        nonempty = [c for c in self.clusters if c.free]
+    @property
+    def batched_count(self) -> int:
+        """Entries waiting in core batches: taken, not yet handed out."""
+        return sum(map(len, self._core_batch.values()))
+
+    def _lock(self, cluster: int) -> SimLock:
+        locks = self._locks
+        while len(locks) <= cluster:  # new clusters from a grown partition
+            locks.append(SimLock(self.engine, f"{self.name}.c{len(locks)}"))
+        return locks[cluster]
+
+    def _assign_cluster(self, core_id: int) -> int:
+        """Point ``core_id`` at a random non-empty cluster."""
+        nonempty = [i for i, free in enumerate(self.partition.clusters) if free]
         if not nonempty:
-            return None
+            raise RuntimeError(f"{self.name}: swap partition is full")
         cluster = nonempty[int(self._rng.integers(0, len(nonempty)))]
         self._core_cluster[core_id] = cluster
         return cluster
@@ -276,136 +186,78 @@ class PerCoreClusterAllocator(EntryAllocator):
             return 0.0
         counts: Dict[int, int] = {}
         for cluster in self._core_cluster.values():
-            counts[cluster.index] = counts.get(cluster.index, 0) + 1
+            counts[cluster] = counts.get(cluster, 0) + 1
         return sum(counts.values()) / len(counts)
 
     def allocate(self, core_id: int = 0) -> Generator:
+        """Simulation sub-generator: yields until an entry is obtained."""
         start = self.engine.now
-        while True:
-            cluster = self._core_cluster.get(core_id)
-            if cluster is None or not cluster.free:
-                cluster = self._assign_cluster(core_id)
-                if cluster is None:
-                    raise RuntimeError(f"{self.name}: all clusters exhausted")
-            yield cluster.lock.acquire()
-            self.stats.lock_acquisitions += 1
-            try:
-                if not cluster.free:
-                    continue  # raced with a collider; pick a new cluster
-                cost = _scan_cost_us(self.base_scan_us, self.occupancy, self.scan_factor)
-                yield self.engine.timeout(cost)
-                entry = cluster.free.pop()
-                entry.allocated = True
-                self._allocated += 1
-            finally:
-                cluster.lock.release()
-            self.stats.record(start, self.engine.now)
-            self._trace_alloc(entry)
-            return entry
+        batch = self._core_batch.setdefault(core_id, [])
+        if not batch:
+            partition = self.partition
+            while True:
+                cluster = self._core_cluster.get(core_id)
+                if cluster is None or not partition.clusters[cluster]:
+                    cluster = self._assign_cluster(core_id)
+                lock = self._lock(cluster)
+                yield lock.acquire()
+                self.stats.lock_acquisitions += 1
+                try:
+                    free = partition.clusters[cluster]
+                    if not free:
+                        continue  # a collider drained it; pick again
+                    take = min(self.batch_size, len(free))
+                    cost = _scan_cost_us(
+                        self.base_scan_us, partition.occupancy, self.scan_factor
+                    )
+                    yield self.engine.timeout(
+                        cost + self.per_entry_batch_us * (take - 1)
+                    )
+                    # A rack purge may have thinned the cluster meanwhile.
+                    batch.extend(partition.pop_free_batch(take, cluster))
+                finally:
+                    lock.release()
+                if batch:
+                    break
+        entry = batch.pop()
+        self.stats.record(start, self.engine.now)
+        self._trace_alloc(entry)
+        return entry
+
+    def take_free_untimed(self) -> SwapEntry:
+        """Grab an entry outside simulated time (setup and re-homing)."""
+        entry = self.partition.pop_free()
+        self._trace_alloc(entry)
+        return entry
 
     def free(self, entry: SwapEntry) -> None:
+        """Return an entry to its partition cluster (not timed)."""
         if self.tracer is not None:
             self.tracer.emit(ENTRY_FREE, "", 0, entry.entry_id, self.name)
         rack = self.rack
         if rack is not None and rack.entry_condemned(entry):
             rack.retire_freed(entry)
-            self._allocated -= 1
-            self.stats.frees += 1
-            return
-        entry.allocated = False
-        entry.reserved = False
-        entry.stored_vpn = None
-        entry.timestamp_us = None
-        entry.valid = True
-        self._entry_cluster[entry.entry_id].free.append(entry)
-        self._allocated -= 1
+        else:
+            self.partition.push_free(entry)
         self.stats.frees += 1
 
     def retire_matching(self, server_id: int) -> List[SwapEntry]:
-        # This policy never pops the partition's own deque (it still
-        # holds every initial entry, in-use ones included), so only the
-        # cluster free lists are purged — touching the base deque here
-        # would condemn entries that are actually live.
-        victims: List[SwapEntry] = []
-        for cluster in self.clusters:
-            matching = [e for e in cluster.free if e.server_id == server_id]
+        """Pull every free or batched entry homed on ``server_id``.
+
+        Called by the rack when a memory server dies or drains, so a
+        condemned entry can never be handed out again.  Returns the
+        victims (the rack retires them).
+        """
+        victims = self.partition.purge(server_id)
+        for batch in self._core_batch.values():
+            matching = [e for e in batch if e.server_id == server_id]
             if matching:
-                cluster.free[:] = [
-                    e for e in cluster.free if e.server_id != server_id
-                ]
-                victims.extend(matching)
-        return victims
-
-    def take_free_untimed(self) -> SwapEntry:
-        for cluster in self.clusters:
-            if cluster.free:
-                entry = cluster.free.pop()
-                entry.allocated = True
-                self._allocated += 1
-                self._trace_alloc(entry)
-                return entry
-        raise RuntimeError(f"{self.name}: all clusters exhausted")
-
-
-class BatchAllocator(EntryAllocator):
-    """Linux 5.8 patch: scan several entries per lock acquisition.
-
-    Each core keeps a small private cache refilled ``batch_size`` entries
-    at a time; the critical section is longer (the scan covers the whole
-    batch) but runs once per ``batch_size`` allocations.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        partition: SwapPartition,
-        name: str = "",
-        batch_size: int = 16,
-        base_scan_us: float = 1.5,
-        scan_factor: float = 0.10,
-        per_entry_batch_us: float = 0.35,
-    ):
-        super().__init__(engine, partition, name)
-        self.batch_size = batch_size
-        self.base_scan_us = base_scan_us
-        self.scan_factor = scan_factor
-        self.per_entry_batch_us = per_entry_batch_us
-        self.lock = SimLock(engine, f"{self.name}.lock")
-        self._core_cache: Dict[int, List[SwapEntry]] = {}
-
-    def allocate(self, core_id: int = 0) -> Generator:
-        start = self.engine.now
-        cache = self._core_cache.setdefault(core_id, [])
-        if not cache:
-            yield self.lock.acquire()
-            self.stats.lock_acquisitions += 1
-            try:
-                scan = _scan_cost_us(
-                    self.base_scan_us, self.partition.occupancy, self.scan_factor
-                )
-                scan += self.per_entry_batch_us * (self.batch_size - 1)
-                yield self.engine.timeout(scan)
-                cache.extend(self.partition.pop_free_batch(self.batch_size))
-            finally:
-                self.lock.release()
-            if not cache:
-                raise RuntimeError(f"{self.name}: partition exhausted")
-        entry = cache.pop()
-        self.stats.record(start, self.engine.now)
-        self._trace_alloc(entry)
-        return entry
-
-    def retire_matching(self, server_id: int) -> List[SwapEntry]:
-        victims = super().retire_matching(server_id)
-        for cache in self._core_cache.values():
-            matching = [e for e in cache if e.server_id == server_id]
-            if matching:
-                cache[:] = [e for e in cache if e.server_id != server_id]
+                batch[:] = [e for e in batch if e.server_id != server_id]
                 victims.extend(matching)
         return victims
 
 
-class Linux514Allocator(PerCoreClusterAllocator):
+class Linux514Allocator(EntryAllocator):
     """Linux 5.14: per-core clusters *and* batched scans combined.
 
     Models the state of the mainline allocator the paper compares against
@@ -430,51 +282,9 @@ class Linux514Allocator(PerCoreClusterAllocator):
             partition,
             name,
             cluster_entries=cluster_entries,
+            batch_size=batch_size,
             base_scan_us=base_scan_us,
             scan_factor=scan_factor,
+            per_entry_batch_us=per_entry_batch_us,
             rng=rng,
         )
-        self.batch_size = batch_size
-        self.per_entry_batch_us = per_entry_batch_us
-        self._core_batch: Dict[int, List[SwapEntry]] = {}
-
-    def allocate(self, core_id: int = 0) -> Generator:
-        start = self.engine.now
-        batch = self._core_batch.setdefault(core_id, [])
-        if not batch:
-            while True:
-                cluster = self._core_cluster.get(core_id)
-                if cluster is None or not cluster.free:
-                    cluster = self._assign_cluster(core_id)
-                    if cluster is None:
-                        raise RuntimeError(f"{self.name}: all clusters exhausted")
-                yield cluster.lock.acquire()
-                self.stats.lock_acquisitions += 1
-                try:
-                    if not cluster.free:
-                        continue
-                    take = min(self.batch_size, len(cluster.free))
-                    cost = _scan_cost_us(self.base_scan_us, self.occupancy, self.scan_factor)
-                    cost += self.per_entry_batch_us * (take - 1)
-                    yield self.engine.timeout(cost)
-                    for _ in range(take):
-                        entry = cluster.free.pop()
-                        entry.allocated = True
-                        self._allocated += 1
-                        batch.append(entry)
-                finally:
-                    cluster.lock.release()
-                break
-        entry = batch.pop()
-        self.stats.record(start, self.engine.now)
-        self._trace_alloc(entry)
-        return entry
-
-    def retire_matching(self, server_id: int) -> List[SwapEntry]:
-        victims = super().retire_matching(server_id)  # cluster free lists
-        for batch in self._core_batch.values():
-            matching = [e for e in batch if e.server_id == server_id]
-            if matching:
-                batch[:] = [e for e in batch if e.server_id != server_id]
-                victims.extend(matching)
-        return victims

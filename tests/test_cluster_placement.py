@@ -10,8 +10,8 @@ Four layers:
   ``entries_homed`` charge reconciles with a ground-up recount.
 * **Retirement properties** — killing or draining a server leaves no
   non-retired entry behind, the allocator free-path guard retires
-  condemned entries instead of pooling them, and the per-core policy's
-  purge never condemns an in-use entry (the zombie-deque hazard).
+  condemned entries instead of pooling them, and a clustered
+  partition's purge never condemns an in-use entry.
 * **Interleaving property** — a seeded random schedule of arrive
   (adopt), grow, fail, and drain events keeps the charge ledger
   reconciled at every step.
@@ -25,7 +25,7 @@ from repro.cluster import PLACEMENTS, ClusterConfig, Rack
 from repro.rdma import RNIC
 from repro.sim import Engine
 from repro.swap import SwapPartition
-from repro.swap.allocator import FreeListAllocator, PerCoreClusterAllocator
+from repro.swap.allocator import EntryAllocator
 
 
 class _BareSystem:
@@ -270,7 +270,7 @@ def test_free_path_retires_condemned_entries():
     eng, rack, _, partition, allocator = _rack(
         ClusterConfig(n_servers=2, chunk_entries=8),
         n_entries=16,
-        allocator_cls=FreeListAllocator,
+        allocator_cls=EntryAllocator,
     )
     held = [allocator.take_free_untimed() for _ in range(10)]
     doomed = next(e for e in held if e.server_id == 0)
@@ -296,21 +296,23 @@ def test_per_core_purge_spares_in_use_entries():
     eng, rack, _, partition, allocator = _rack(
         ClusterConfig(n_servers=2, chunk_entries=8),
         n_entries=16,
-        allocator_cls=PerCoreClusterAllocator,
+        allocator_cls=lambda eng, part: EntryAllocator(eng, part, cluster_entries=4),
     )
     held = [allocator.take_free_untimed() for _ in range(10)]
     in_use_on_0 = [e for e in held if e.server_id == 0]
     assert in_use_on_0  # the schedule must actually exercise the hazard
     rack.kill_server(0)
-    # The policy's base deque still lists in-use entries; the purge must
-    # only touch cluster free lists, so held entries stay live until the
-    # owner frees them (and the free guard retires them then).
+    # The purge reaches only the partition's free clusters, so held
+    # entries stay live until the owner frees them (and the free guard
+    # retires them then).
     assert all(not e.retired for e in in_use_on_0)
     for entry in held:
         allocator.free(entry)
     assert all(e.retired for e in in_use_on_0)
-    for cluster in allocator.clusters:
-        assert all(not e.retired for e in cluster.free)
+    # Every live entry is back in a cluster, and no retired one is.
+    live = [e for e in partition.entries if not e.retired]
+    assert partition.free_count == len(live)
+    assert not any(e.allocated for e in live)
     assert _reconciles(rack)
 
 

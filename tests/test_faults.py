@@ -514,10 +514,13 @@ def test_rack_scenario_lookup():
         rack_scenario_config("nope")
 
 
+@pytest.mark.parametrize("system", ["canvas", "linux514"])
 @pytest.mark.parametrize("scenario", sorted(RACK_SCENARIOS))
-def test_rack_scenarios_complete_clean_on_canvas(scenario):
-    """Every scripted rack episode resolves with nothing leaked."""
-    result = rack_run("canvas", rack_scenario_config(scenario))
+def test_rack_scenarios_complete_clean(scenario, system):
+    """Every scripted rack episode resolves with nothing leaked, on
+    Canvas's private partitions and on the clustered, batched Linux
+    5.14 allocator (whose grown entries must reach its clusters)."""
+    result = rack_run(system, rack_scenario_config(scenario))
     for app in result.apps.values():
         assert app.finished_at_us is not None
     _assert_rack_clean(result)
@@ -559,12 +562,12 @@ def test_rack_drain_during_fault_storm_migrates_clean():
     _assert_rack_clean(result)
 
 
-@pytest.mark.parametrize("system", ["canvas", "infiniswap"])
+@pytest.mark.parametrize("system", ["canvas", "infiniswap", "linux514"])
 def test_rack_drain_at_scale_grows_the_exhausted_partition(system):
     """At scale 0.3 the drain retires so many entries that a partition
     runs dry mid-run: memcached's own partition on Canvas (after the
     adaptive manager's emergency release found nothing to cancel), the
-    shared one on Infiniswap.  The allocation path grows the partition
+    shared one on Infiniswap and Linux 5.14.  The allocation path grows the partition
     by one rack chunk instead of failing, and the co-run finishes
     clean."""
     result = rack_run(

@@ -10,7 +10,7 @@ from repro.cli import SYSTEMS
 from repro.core import CanvasSwapSystem
 from repro.harness import ExperimentConfig, run_experiment
 from repro.kernel.swap_system import LinuxSwapSystem
-from repro.swap.allocator import FreeListAllocator, Linux514Allocator
+from repro.swap.allocator import EntryAllocator, Linux514Allocator
 
 
 def small(system="linux", **kwargs):
@@ -118,12 +118,12 @@ def test_prefetch_metrics_populated():
 
 #: Every CLI system kind -> (system class, system.name, allocator class).
 SYSTEM_KINDS = {
-    "linux": (LinuxSwapSystem, "linux", FreeListAllocator),
+    "linux": (LinuxSwapSystem, "linux", EntryAllocator),
     "linux514": (LinuxSwapSystem, "linux514", Linux514Allocator),
-    "fastswap": (FastswapSystem, "fastswap", FreeListAllocator),
-    "infiniswap": (InfiniswapSystem, "infiniswap", FreeListAllocator),
-    "canvas-iso": (CanvasSwapSystem, "canvas", FreeListAllocator),
-    "canvas": (CanvasSwapSystem, "canvas", FreeListAllocator),
+    "fastswap": (FastswapSystem, "fastswap", EntryAllocator),
+    "infiniswap": (InfiniswapSystem, "infiniswap", EntryAllocator),
+    "canvas-iso": (CanvasSwapSystem, "canvas", EntryAllocator),
+    "canvas": (CanvasSwapSystem, "canvas", EntryAllocator),
 }
 
 

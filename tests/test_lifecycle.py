@@ -56,15 +56,7 @@ def shared_allocator_reconciles(system):
     allocator = getattr(system, "allocator", None)
     if allocator is None:
         return  # Canvas private partitions die with their apps.
-    free = 0
-    if hasattr(allocator, "clusters"):
-        free += sum(len(c.free) for c in allocator.clusters)
-    else:
-        free += allocator.partition.free_count
-    for cache in getattr(allocator, "_core_cache", {}).values():
-        free += len(cache)
-    for batch in getattr(allocator, "_core_batch", {}).values():
-        free += len(batch)
+    free = allocator.partition.free_count + allocator.batched_count
     assert free == allocator.partition.n_entries
 
 

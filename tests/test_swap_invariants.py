@@ -24,12 +24,7 @@ from repro.harness.machine import Machine
 from repro.sim import Engine
 from repro.sim.rng import derive_seed
 from repro.swap import SwapPartition
-from repro.swap.allocator import (
-    BatchAllocator,
-    FreeListAllocator,
-    Linux514Allocator,
-    PerCoreClusterAllocator,
-)
+from repro.swap.allocator import EntryAllocator, Linux514Allocator
 from repro.swap.swap_cache import SwapCache
 from tests.conftest import (
     build_shared_corun,
@@ -40,32 +35,27 @@ from tests.conftest import (
 from tests.golden.matrix import shared_ledger_errors
 
 N_ENTRIES = 512
+#: The four Linux allocator variants, each at its own scan costs.
 ALLOCATORS = {
-    "freelist": FreeListAllocator,
-    "percore-cluster": lambda eng, part: PerCoreClusterAllocator(
-        eng, part, cluster_entries=64
+    "freelist": EntryAllocator,
+    "percore-cluster": lambda eng, part: EntryAllocator(
+        eng, part, cluster_entries=64, base_scan_us=1.2, scan_factor=0.25
     ),
-    "batch": BatchAllocator,
+    "batch": lambda eng, part: EntryAllocator(
+        eng,
+        part,
+        batch_size=16,
+        base_scan_us=1.5,
+        scan_factor=0.10,
+        per_entry_batch_us=0.35,
+    ),
     "linux514": lambda eng, part: Linux514Allocator(eng, part, cluster_entries=64),
 }
 
 
 def _free_and_stashed(allocator) -> int:
-    """Entries not handed out: on free lists plus in per-core caches.
-
-    Each policy parks free entries somewhere different (partition deque,
-    per-cluster lists, per-core batch caches); sum them all.
-    """
-    total = 0
-    if hasattr(allocator, "clusters"):
-        total += sum(len(c.free) for c in allocator.clusters)
-    else:
-        total += allocator.partition.free_count
-    for cache in getattr(allocator, "_core_cache", {}).values():
-        total += len(cache)
-    for batch in getattr(allocator, "_core_batch", {}).values():
-        total += len(batch)
-    return total
+    """Entries not handed out: free in the partition or in core batches."""
+    return allocator.partition.free_count + allocator.batched_count
 
 
 @pytest.mark.parametrize("name", sorted(ALLOCATORS))
@@ -124,19 +114,60 @@ def test_allocator_random_interleavings_reconcile(name, seed):
     assert _free_and_stashed(allocator) == N_ENTRIES
 
 
-def test_freelist_double_free_is_rejected():
+def _assert_double_free_rejected(name):
     eng = Engine()
-    part = SwapPartition("p", 8)
-    allocator = FreeListAllocator(eng, part)
+    part = SwapPartition("p", 16)
+    allocator = ALLOCATORS[name](eng, part)
+    done = []
 
     def proc():
         entry = yield from allocator.allocate(0)
         allocator.free(entry)
         with pytest.raises(ValueError):
             allocator.free(entry)
+        done.append(entry)
 
     eng.spawn(proc())
     eng.run()
+    assert done
+    # The rejected free pooled nothing: every entry is handed out once.
+    handed = [allocator.take_free_untimed() for _ in range(part.free_count)]
+    assert len({e.entry_id for e in handed}) == len(handed)
+
+
+def test_freelist_double_free_is_rejected():
+    _assert_double_free_rejected("freelist")
+
+
+@pytest.mark.parametrize("name", ["batch", "linux514", "percore-cluster"])
+def test_clustered_and_batched_double_free_is_rejected(name):
+    _assert_double_free_rejected(name)
+
+
+@pytest.mark.parametrize("name", sorted(ALLOCATORS))
+def test_partition_counts_and_growth_hold_for_every_variant(name):
+    """Free plus used is capacity while entries are out, and a grow's
+    new entries are allocatable once the original ones are gone."""
+    eng = Engine()
+    part = SwapPartition("p", 100)
+    allocator = ALLOCATORS[name](eng, part)
+    got = []
+
+    def proc():
+        for _ in range(100):
+            got.append((yield from allocator.allocate(0)))
+            assert part.free_count + part.used_count == part.n_entries
+        with pytest.raises(RuntimeError):
+            yield from allocator.allocate(0)
+        assert part.used_count == 100
+        part.grow(40)
+        for _ in range(40):
+            got.append((yield from allocator.allocate(1)))
+
+    eng.spawn(proc())
+    eng.run()
+    assert sorted(e.entry_id for e in got) == list(range(140))
+    assert part.free_count + allocator.batched_count == 0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
