@@ -136,7 +136,7 @@ def _build_drain(tracer=False):
     assert app.pool.try_charge(DRAIN_PAGES)
     for vpn in range(vma.start_vpn, vma.start_vpn + DRAIN_PAGES):
         page = app.space.pages[vpn]
-        entry = system._allocator_for(app, page).take_free_untimed()
+        entry = system.path_for(app, page).allocator.take_free_untimed()
         entry.stored_vpn = vpn
         page.swap_entry = entry
         page.resident = True

@@ -602,7 +602,7 @@ class Rack:
             page.reserved_entry = None
             entry.reserved = False
         if page.swap_entry is entry:
-            cache = system._cache_for(app, page)
+            cache = system.path_for(app, page).cache
             if cache._pages.pop(entry.entry_id, None) is not None:
                 page.in_swap_cache = False
             page.swap_entry = None
@@ -621,16 +621,16 @@ class Rack:
         retires the old entry.  Growing the partition by one chunk is the
         fallback when re-homing itself exhausted the free list.
         """
-        allocator = system._allocator_for(app, page)
+        path = system.path_for(app, page)
         try:
-            new_entry = allocator.take_free_untimed()
+            new_entry = path.allocator.take_free_untimed()
         except RuntimeError:
-            allocator.partition.grow(self.config.chunk_entries)
-            new_entry = allocator.take_free_untimed()
+            path.partition.grow(self.config.chunk_entries)
+            new_entry = path.allocator.take_free_untimed()
         new_entry.stored_vpn = page.vpn
         new_entry.timestamp_us = old_entry.timestamp_us
         new_entry.valid = old_entry.valid
-        cache = system._cache_for(app, page)
+        cache = path.cache
         moved = cache._pages.pop(old_entry.entry_id, None)
         if moved is not None:
             cache._pages[new_entry.entry_id] = moved

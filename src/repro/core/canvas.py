@@ -1,6 +1,8 @@
 """Canvas: the fully isolated, adaptive swap system (§4, §5).
 
-Per cgroup, Canvas provisions:
+Per cgroup, Canvas provisions a private
+:class:`~repro.kernel.swap_system.SwapPath` (bound to
+``AppContext.swap_path``):
 
 * a **private swap partition** with its own entry manager — optionally
   the adaptive reservation allocator of §5.1;
@@ -9,12 +11,15 @@ Per cgroup, Canvas provisions:
 * a **private kernel-tier prefetcher** instance (isolated fault history),
   optionally escalating to the application tier through userfaultfd
   (§5.2);
-* a **virtual queue pair** feeding the two-dimensional RDMA scheduler
-  (§4, §5.3).
 
-Shared pages (mapcount > 1) bypass all of this onto a global partition
-and global swap cache managed with the original lock-based allocator,
-limited by the ``cgroup-shared`` budget (§4).
+plus a **virtual queue pair** feeding the two-dimensional RDMA
+scheduler (§4, §5.3).
+
+Shared pages (mapcount > 1) bypass all of this onto the global
+``shared_path``: a global partition and global swap cache managed with
+the original lock-based allocator, limited by the ``cgroup-shared``
+budget (§4).  Prefetching stays per cgroup, so the global path's
+prefetcher is the null one.
 
 The three adaptive optimizations can be toggled independently via
 :class:`CanvasConfig`, which is how the evaluation's ablations (isolation
@@ -31,7 +36,7 @@ from repro.core.adaptive_alloc import AdaptiveSwapManager
 from repro.core.rdma_sched import TwoDimensionalScheduler
 from repro.core.two_tier import TwoTierController
 from repro.kernel.cgroup import AppContext
-from repro.kernel.swap_system import BaseSwapSystem, SwapSystemConfig
+from repro.kernel.swap_system import BaseSwapSystem, SwapPath, SwapSystemConfig
 from repro.kernel.telemetry import Telemetry
 from repro.kernel.userfaultfd import UserfaultfdChannel
 from repro.mem.page import Page
@@ -78,14 +83,10 @@ class CanvasConfig:
 
 
 class _CanvasAppState:
-    """Everything Canvas provisions for one cgroup."""
+    """What Canvas provisions for one cgroup besides its swap path."""
 
     def __init__(self):
-        self.partition: Optional[SwapPartition] = None
-        self.allocator: Optional[EntryAllocator] = None
         self.adaptive: Optional[AdaptiveSwapManager] = None
-        self.cache: Optional[SwapCache] = None
-        self.prefetcher: Optional[Prefetcher] = None
         self.uffd: Optional[UserfaultfdChannel] = None
         self.two_tier: Optional[TwoTierController] = None
         self.remote: Optional["DemandDrivenRemoteMemory"] = None
@@ -114,15 +115,13 @@ class CanvasSwapSystem(BaseSwapSystem):
             timeliness_drops=self.canvas.timeliness_drops,
             drop_callback=self._on_prefetch_dropped,
         )
-        # Global resources for shared pages (cgroup-shared, §4).
-        self.global_partition = SwapPartition(
-            f"{name}.global", self.canvas.global_partition_pages
-        )
-        self.global_allocator = EntryAllocator(
-            engine, self.global_partition, name=f"{name}.global.alloc"
-        )
-        self.global_cache = SwapCache(
-            f"{name}.global.cache", self.canvas.global_cache_pages
+        # The global path for shared pages (cgroup-shared, §4).
+        partition = SwapPartition(f"{name}.global", self.canvas.global_partition_pages)
+        self.shared_path = SwapPath(
+            partition,
+            EntryAllocator(engine, partition, name=f"{name}.global.alloc"),
+            SwapCache(f"{name}.global.cache", self.canvas.global_cache_pages),
+            Prefetcher(),
         )
         self._state: Dict[str, _CanvasAppState] = {}
         self.rebalancer = None
@@ -136,7 +135,13 @@ class CanvasSwapSystem(BaseSwapSystem):
     # Per-app provisioning
     # ------------------------------------------------------------------
 
-    def _setup_app(self, app: AppContext) -> None:
+    def attach_rack(self, rack) -> None:
+        # Nothing is homed yet: each cgroup's partition, then the global
+        # one, is homed as the cgroup registers (_setup_app), and
+        # placement depends on that order.
+        self.rack = rack
+
+    def _setup_app(self, app: AppContext) -> SwapPath:
         state = _CanvasAppState()
         partition_pages = app.config.swap_partition_pages
         if partition_pages is None:
@@ -146,45 +151,43 @@ class CanvasSwapSystem(BaseSwapSystem):
             from repro.core.remote_memory import DemandDrivenRemoteMemory
 
             initial = min(self.canvas.remote_chunk_entries, partition_pages)
-            state.partition = SwapPartition(f"{app.name}.swap", initial)
+            partition = SwapPartition(f"{app.name}.swap", initial)
             state.remote = DemandDrivenRemoteMemory(
                 self.engine,
-                state.partition,
+                partition,
                 limit_entries=partition_pages,
                 chunk_entries=self.canvas.remote_chunk_entries,
                 fault_plan=self.fault_plan,
             )
         else:
-            state.partition = SwapPartition(f"{app.name}.swap", partition_pages)
-        base_alloc = EntryAllocator(
-            self.engine, state.partition, name=f"{app.name}.alloc"
-        )
+            partition = SwapPartition(f"{app.name}.swap", partition_pages)
+        base_alloc = EntryAllocator(self.engine, partition, name=f"{app.name}.alloc")
         base_alloc.tracer = self.trace
-        state.allocator = base_alloc
         if self.rack is not None:
             # Rack model: home this cgroup's partition (and the shared
             # global one) on memory servers, and let demand-driven
             # growth pay the home server's registration cost.
-            self.rack.adopt(self, state.partition, base_alloc)
-            self.rack.adopt(self, self.global_partition, self.global_allocator)
+            shared = self.shared_path
+            self.rack.adopt(self, partition, base_alloc)
+            self.rack.adopt(self, shared.partition, shared.allocator)
             if state.remote is not None:
                 state.remote.rack = self.rack
         if self.canvas.adaptive_allocation:
             state.adaptive = AdaptiveSwapManager(
                 self.engine,
-                state.partition,
+                partition,
                 app,
                 base_allocator=base_alloc,
                 reservation_high_occupancy=self.canvas.reservation_high_occupancy,
             )
-        state.cache = SwapCache(f"{app.name}.cache", app.config.swap_cache_pages)
+        cache = SwapCache(f"{app.name}.cache", app.config.swap_cache_pages)
         if self.rebalancer is not None:
-            self._rebalance_caches[app.name] = state.cache
+            self._rebalance_caches[app.name] = cache
             self.rebalancer._baseline_total = sum(
                 c.capacity_pages for c in self._rebalance_caches.values()
             )
         factory = self.canvas.kernel_prefetcher_factory
-        state.prefetcher = factory() if factory is not None else KernelReadahead(
+        prefetcher = factory() if factory is not None else KernelReadahead(
             name=f"{app.name}.readahead"
         )
         self.scheduler.register_app(app.name, weight=app.config.rdma_weight)
@@ -204,12 +207,7 @@ class CanvasSwapSystem(BaseSwapSystem):
             if runtime is not None and hasattr(runtime, "handle_forwarded_fault"):
                 state.uffd.register_handler(runtime.handle_forwarded_fault)
         self._state[app.name] = state
-
-    def _attach_tracer_extra(self, tracer) -> None:
-        self.global_allocator.tracer = tracer
-        for state in self._state.values():
-            if state.allocator is not None:
-                state.allocator.tracer = tracer
+        return SwapPath(partition, base_alloc, cache, prefetcher)
 
     def attach_runtime_handler(self, app: AppContext) -> None:
         """Bind a runtime attached after registration to the uffd channel."""
@@ -245,10 +243,9 @@ class CanvasSwapSystem(BaseSwapSystem):
         """Dismantle the per-cgroup provisioning of :meth:`_setup_app`.
 
         Reservation release and the daemon interrupts run first (the
-        adaptive manager needs live pages); the base sweep runs while
-        ``_state`` still resolves this app, because it dispatches
-        through the ``_cache_for``/``_release_entry`` hooks; scheduler,
-        rebalancer, and rack unregistration come last.
+        adaptive manager needs live pages), then the base sweep over the
+        app's still-bound swap path; scheduler, rebalancer, and rack
+        unregistration come last.
         """
         state = self._state[app.name]
         if state.adaptive is not None:
@@ -276,29 +273,13 @@ class CanvasSwapSystem(BaseSwapSystem):
         if self.rack is not None:
             # Only the private partition withdraws; the global one stays
             # adopted for the apps still sharing it.
-            self.rack.withdraw(state.partition)
+            self.rack.withdraw(app.swap_path.partition)
         del self._state[app.name]
         return freed
 
     # ------------------------------------------------------------------
     # Policy hooks
     # ------------------------------------------------------------------
-
-    def _cache_for(self, app: AppContext, page: Page) -> SwapCache:
-        if page.shared:
-            return self.global_cache
-        return self._state[app.name].cache
-
-    def _private_cache(self, app: AppContext) -> SwapCache:
-        return self._state[app.name].cache
-
-    def _allocator_for(self, app: AppContext, page: Page) -> EntryAllocator:
-        if page.shared:
-            return self.global_allocator
-        return self._state[app.name].allocator
-
-    def _prefetcher_for(self, app: AppContext) -> Prefetcher:
-        return self._state[app.name].prefetcher
 
     def _submit(self, app: AppContext, request: RdmaRequest) -> None:
         self.scheduler.submit(app.name, request)
@@ -432,12 +413,6 @@ class CanvasSwapSystem(BaseSwapSystem):
     def adaptive_stats(self, app_name: str):
         state = self._state[app_name].adaptive
         return None if state is None else state.stats
-
-    def partition_of(self, app_name: str) -> SwapPartition:
-        return self._state[app_name].partition
-
-    def cache_of(self, app_name: str) -> SwapCache:
-        return self._state[app_name].cache
 
     def two_tier_stats(self, app_name: str):
         controller = self._state[app_name].two_tier

@@ -312,15 +312,12 @@ def _assemble(config: ExperimentConfig, total_remote_pages: int):
     system = _build_system(machine, config, total_remote_pages)
     # The rack attaches before any app registers: Canvas adopts each
     # per-cgroup partition in _setup_app, and the linux-family shared
-    # partition is adopted here.  It also precedes the tracer attach so
-    # attach_tracer can propagate into the rack.
+    # partition is adopted by attach_rack.  It also precedes the tracer
+    # attach so attach_tracer can propagate into the rack.
     rack = None
     if config.cluster is not None:
         rack = Rack(machine.engine, machine.nic, config.cluster, seed=config.seed)
-        system.rack = rack
-        shared_partition = getattr(system, "partition", None)
-        if shared_partition is not None:
-            rack.adopt(system, shared_partition, getattr(system, "allocator", None))
+        system.attach_rack(rack)
     # Fault plan attaches before any app registers: Canvas reads
     # ``system.fault_plan`` while provisioning per-cgroup resources.
     fault_plan = make_plan(config.fault_config, config.seed)
@@ -404,7 +401,7 @@ def run_experiment(
             name=workload.name,
             n_cores=config.cores_for(workload),
             local_memory_pages=local_pages,
-            swap_partition_pages=remote_pages if is_canvas else None,
+            swap_partition_pages=remote_pages,
             swap_cache_pages=max(
                 96, int(local_pages * config.swap_cache_fraction)
             ),
@@ -430,7 +427,7 @@ def run_experiment(
     # baseline when one app's pressure releases another app's cached
     # pages from the shared LRU.
     if not is_canvas:
-        system.cache.capacity_pages = max(
+        system.shared_path.cache.capacity_pages = max(
             64, sum(app.pool.capacity_pages for app in apps.values())
         )
 
@@ -550,7 +547,7 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
     # way the fixed-roster harness does (the population changes); size it
     # for the whole day's peak instead.
     if not is_canvas:
-        system.cache.capacity_pages = max(
+        system.shared_path.cache.capacity_pages = max(
             256, sum(s.local_memory_pages for s in plan.sessions) // 4
         )
 
@@ -563,7 +560,7 @@ def run_churn(config: ExperimentConfig) -> ChurnResult:
             name=session.name,
             n_cores=1,
             local_memory_pages=session.local_memory_pages,
-            swap_partition_pages=remote_pages if is_canvas else None,
+            swap_partition_pages=remote_pages,
             swap_cache_pages=max(
                 16,
                 int(session.local_memory_pages * config.swap_cache_fraction),

@@ -143,10 +143,8 @@ def snapshot_system(system, apps) -> SystemSnapshot:
     adaptive: Dict[str, object] = {}
     get_adaptive = getattr(system, "adaptive_stats", None)
     for name, app in apps.items():
-        try:
-            cache_stats[name] = system._private_cache(app).stats
-        except (KeyError, NotImplementedError):  # pragma: no cover
-            pass
+        if app.swap_path is not None:  # None once a churn session departed
+            cache_stats[name] = app.swap_path.cache.stats
         if get_adaptive is not None:
             adaptive[name] = get_adaptive(name)
     return SystemSnapshot(

@@ -5,7 +5,7 @@ CPU and local-memory limits; Canvas extends cgroup with swap-partition,
 swap-cache, and RDMA-bandwidth limits (§4).  :class:`CgroupConfig` holds
 all of those knobs; :class:`AppContext` bundles the runtime state the
 kernel keeps per application (address space, frame pool, LRU lists, CPU
-cores, statistics).
+cores, statistics, and the swap path its private pages take).
 """
 
 from __future__ import annotations
@@ -135,6 +135,10 @@ class AppContext:
         self.inflight_prefetches: int = 0
         #: Slot for runtime models (e.g. the JVM of §5.2) to attach to.
         self.runtime: Optional[object] = None
+        #: The :class:`repro.kernel.swap_system.SwapPath` this app's
+        #: private pages take: bound by ``register_app`` and cleared by
+        #: ``unregister_app`` (None while unregistered).
+        self.swap_path = None
 
     @property
     def completion_time_us(self) -> Optional[float]:

@@ -7,8 +7,13 @@
 * cgroup frame accounting with direct reclaim and a kswapd analogue,
 * eviction → swap-entry allocation (the contended step) → RDMA writeback.
 
-Subclasses configure *policy* through hooks: which swap cache and
-allocator serve an app (shared in Linux, per-cgroup in Canvas), how RDMA
+Every page goes through exactly one :class:`SwapPath` — a swap
+partition, its entry allocator, a swap cache and a prefetcher.  Shared
+pages (mapcount > 1) take the system's ``shared_path``; every other page
+takes its app's ``AppContext.swap_path``.  The linux family binds every
+app to the shared path; Canvas gives each cgroup a private one (§4).
+
+Subclasses configure the rest of the *policy* through hooks: how RDMA
 requests are routed (single QP, Fastswap's sync/async split, Canvas's
 VQP + two-dimensional scheduler), what happens on map-in/eviction (entry
 keeping vs Canvas's reservation FSM), and how a thread waits on an
@@ -70,6 +75,7 @@ from repro.swap.partition import SwapPartition
 from repro.swap.swap_cache import SwapCache
 
 __all__ = [
+    "SwapPath",
     "SwapSystemConfig",
     "BaseSwapSystem",
     "LinuxSwapSystem",
@@ -115,6 +121,25 @@ class SwapSystemConfig:
     max_kernel_retries: int = 16
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class SwapPath:
+    """One swap path: where a page's swap entry, swap-cache slot and
+    readahead come from.
+
+    Canvas's unit of isolation: "each application possesses its
+    dedicated swap partition, swap cache, prefetcher, and RDMA
+    bandwidth", and shared pages take one global path (§4).  The RDMA
+    leg is the system's ``_submit``.  A path's prefetcher serves the
+    faults of the apps bound to it; the shared path of a system that
+    gives apps private paths never prefetches.
+    """
+
+    partition: SwapPartition
+    allocator: EntryAllocator
+    cache: SwapCache
+    prefetcher: Prefetcher
+
+
 def _needs_writeback(page: Page) -> bool:
     """Batch-cut predicate for reclaim victim selection.
 
@@ -132,6 +157,10 @@ def _needs_writeback(page: Page) -> bool:
 
 class BaseSwapSystem:
     """Mechanism layer of the swap path; policies come from subclasses."""
+
+    #: The path shared pages take; subclasses build it in ``__init__``.
+    #: The linux family binds every app to it.
+    shared_path: SwapPath
 
     def __init__(
         self,
@@ -170,10 +199,10 @@ class BaseSwapSystem:
         #: harness alongside ``nic.fault_plan``; subsystems the kernel
         #: builds later (e.g. demand-driven remote memory) read it here.
         self.fault_plan = None
-        #: Optional :class:`repro.cluster.Rack` (multi-server fabric),
-        #: attached by the harness.  The error-CQE hooks consult it to
-        #: rebind reads/writebacks whose home server died; None keeps
-        #: the single-endpoint code paths untouched.
+        #: Optional :class:`repro.cluster.Rack` (multi-server fabric);
+        #: attach via :meth:`attach_rack`.  The error-CQE hooks consult
+        #: it to rebind reads/writebacks whose home server died; None
+        #: keeps the single-endpoint code paths untouched.
         self.rack = None
         #: Optional :class:`repro.obs.TraceBuffer`; attach via
         #: :meth:`attach_tracer`.  Every tracepoint in the swap path is
@@ -186,37 +215,47 @@ class BaseSwapSystem:
     def attach_tracer(self, tracer) -> None:
         """Wire a :class:`repro.obs.TraceBuffer` through the stack.
 
-        Covers the NIC, the swap-entry allocator(s), and the per-app
-        LRUs; apps registered after this call pick the tracer up in
-        :meth:`register_app`.
+        Covers the NIC, the rack, every path's swap-entry allocator,
+        and the per-app LRUs; apps registered after this call pick the
+        tracer up in :meth:`register_app`.
         """
         self.trace = tracer
         self.nic.tracer = tracer
-        self._attach_tracer_extra(tracer)
+        self.shared_path.allocator.tracer = tracer
         if self.rack is not None:
             self.rack.tracer = tracer
         for app in self.apps.values():
             app.lru.tracer = tracer
+            app.swap_path.allocator.tracer = tracer
 
-    def _attach_tracer_extra(self, tracer) -> None:
-        """Subclass hook: propagate the tracer into subsystem objects."""
+    def attach_rack(self, rack) -> None:
+        """Put the system on a :class:`repro.cluster.Rack`, before any
+        app registers.
+
+        The shared path's partition is homed on the rack's servers here,
+        so a server lost before the first arrival already retires its
+        entries.  Placement depends on homing order; Canvas homes its
+        partitions as cgroups register instead (see its override).
+        """
+        self.rack = rack
+        rack.adopt(self, self.shared_path.partition, self.shared_path.allocator)
 
     # ------------------------------------------------------------------
     # Policy hooks (overridden by Linux / Fastswap / Canvas variants)
     # ------------------------------------------------------------------
 
-    def _setup_app(self, app: AppContext) -> None:
-        """Create/bind per-app swap resources.  Subclass responsibility."""
-        raise NotImplementedError
+    def path_for(self, app: AppContext, page: Page) -> SwapPath:
+        """The one path ``page`` takes: the shared path for a shared page
+        (mapcount > 1, §4), otherwise the app's own."""
+        return self.shared_path if page.mapcount > 1 else app.swap_path
 
-    def _cache_for(self, app: AppContext, page: Page) -> SwapCache:
-        raise NotImplementedError
+    def _setup_app(self, app: AppContext) -> SwapPath:
+        """Provision per-app swap resources and return the app's path.
 
-    def _allocator_for(self, app: AppContext, page: Page) -> EntryAllocator:
-        raise NotImplementedError
-
-    def _prefetcher_for(self, app: AppContext) -> Prefetcher:
-        raise NotImplementedError
+        Base behaviour: nothing per app — every app takes the shared
+        path.  Canvas builds a private path per cgroup.
+        """
+        return self.shared_path
 
     def _submit(self, app: AppContext, request: RdmaRequest) -> None:
         """Post one request on the path its op and kind select.
@@ -270,7 +309,7 @@ class BaseSwapSystem:
         self, app: AppContext, page: Page, core_id: int
     ) -> Generator:
         """Obtain a swap entry for a swap-out (the contended step)."""
-        allocator = self._allocator_for(app, page)
+        allocator = self.path_for(app, page).allocator
         start = self.engine.now
         try:
             entry = yield from allocator.allocate(core_id)
@@ -304,7 +343,7 @@ class BaseSwapSystem:
         return entry
 
     def _release_entry(self, app: AppContext, page: Page, entry: SwapEntry) -> None:
-        self._allocator_for(app, page).free(entry)
+        self.path_for(app, page).allocator.free(entry)
 
     def _on_mapped(self, app: AppContext, page: Page) -> None:
         """Entry policy when a page is mapped in from the swap cache."""
@@ -312,7 +351,7 @@ class BaseSwapSystem:
         if entry is None:
             return
         if self.config.entry_keeping:
-            allocator = self._allocator_for(app, page)
+            allocator = self.path_for(app, page).allocator
             if allocator.occupancy < self.config.entry_keep_max_occupancy:
                 return  # keep the entry: a clean re-eviction is free
         self._release_entry(app, page, entry)
@@ -345,16 +384,15 @@ class BaseSwapSystem:
         if app.name in self.apps:
             raise ValueError(f"app {app.name!r} already registered")
         self.apps[app.name] = app
-        self._setup_app(app)
+        app.swap_path = self._setup_app(app)
         if self.trace is not None:
             app.lru.tracer = self.trace
         # Teach the app's prefetcher the valid address ranges so stride
         # proposals can be clamped to the faulting VMA (readahead never
         # crosses a mapping boundary).
-        prefetcher = self._prefetcher_for(app)
-        if prefetcher is not None:
-            for vma in app.space.vmas:
-                prefetcher.note_region(app.name, vma.start_vpn, vma.end_vpn)
+        prefetcher = app.swap_path.prefetcher
+        for vma in app.space.vmas:
+            prefetcher.note_region(app.name, vma.start_vpn, vma.end_vpn)
         self._kswapd_kick[app.name] = None
         self._kswapd_park[app.name] = Event(self.engine, f"kswapd.{app.name}.kick")
         self._kswapd_stop[app.name] = False
@@ -386,8 +424,7 @@ class BaseSwapSystem:
                 app.lru.insert(page)
             else:
                 page.resident = False
-                allocator = self._allocator_for(app, page)
-                entry = allocator.take_free_untimed()
+                entry = self.path_for(app, page).allocator.take_free_untimed()
                 entry.stored_vpn = page.vpn
                 page.swap_entry = entry
 
@@ -432,6 +469,9 @@ class BaseSwapSystem:
         ):
             yield self.engine.sleep(10.0)
         freed = self._teardown_app(app)
+        # A departed app holds no path: the private one (and the
+        # partition, cache and prefetcher it keeps alive) goes with it.
+        app.swap_path = None
         self._kswapd_stop.pop(name, None)
         self._kswapd_proc.pop(name, None)
         self._kswapd_kick.pop(name, None)
@@ -453,16 +493,16 @@ class BaseSwapSystem:
         (Canvas: reservation release, scheduler/rebalancer/rack
         unregistration) and must call ``super()._teardown_app(app)``
         while their per-app policy state is still reachable, because
-        the sweep dispatches through ``_cache_for``/``_release_entry``.
+        the sweep releases through ``_release_entry``.  The app's
+        ``swap_path`` stays bound until :meth:`unregister_app` clears it
+        after this returns.
 
         Pages owned by another app (shared mappings faulted here) are
         left untouched: their charges and entries belong to the owner,
         which releases them at its own teardown.
         """
         name = app.name
-        prefetcher = self._prefetcher_for(app)
-        if prefetcher is not None:
-            prefetcher.forget_app(name)
+        app.swap_path.prefetcher.forget_app(name)
         freed = 0
         for page in app.space.pages.values():
             if page.owner_name != name:
@@ -472,7 +512,7 @@ class BaseSwapSystem:
                 event.succeed()  # wake stale waiters; I/O already drained
             self._inflight_req.pop(page, None)
             if page.in_swap_cache and page.swap_entry is not None:
-                cache = self._cache_for(app, page)
+                cache = self.path_for(app, page).cache
                 if cache.discard(page.swap_entry) is not None:
                     app.pool.uncharge(1)
             if page.resident:
@@ -643,7 +683,7 @@ class BaseSwapSystem:
         if tr is not None:
             tr.emit(FAULT_BEGIN, app.name, thread_id, vpn, 1 if write else 0)
         yield engine.sleep(self.config.fault_overhead_us)
-        cache = self._cache_for(app, page)
+        cache = self.path_for(app, page).cache
         first_check = True
         while not page.resident:
             entry = page.swap_entry
@@ -853,9 +893,8 @@ class BaseSwapSystem:
 
     def _map_in(self, app: AppContext, page: Page, write: bool) -> None:
         """Move a swap-cache page into the process address space."""
-        cache = self._cache_for(app, page)
         if page.in_swap_cache and page.swap_entry is not None:
-            cache.remove(page.swap_entry)
+            self.path_for(app, page).cache.remove(page.swap_entry)
         if page.prefetched:
             # A late prefetch (the thread blocked on it): clear the flag
             # without feeding the timeliness distribution — its
@@ -954,7 +993,7 @@ class BaseSwapSystem:
         del self._inflight_req[page]
         event = self._inflight.pop(page, None)
         if page.in_swap_cache and page.swap_entry is not None:
-            self._cache_for(app, page).discard(page.swap_entry)
+            self.path_for(app, page).cache.discard(page.swap_entry)
             app.pool.uncharge(1)
         page.locked = False
         page.prefetched = False
@@ -1011,8 +1050,7 @@ class BaseSwapSystem:
         vpn: int,
         prefetched_hit: bool = False,
     ) -> None:
-        prefetcher = self._prefetcher_for(app)
-        proposals = prefetcher.on_fault(
+        proposals = app.swap_path.prefetcher.on_fault(
             app.name, thread_id, vpn, self.engine.now, prefetched_hit=prefetched_hit
         )
         if self.trace is not None and proposals:
@@ -1040,7 +1078,7 @@ class BaseSwapSystem:
         issued = 0
         # The in-flight window must fit comfortably in the cache that will
         # buffer the arrivals, or prefetches evict each other before use.
-        cache_cap = self._private_cache(app).capacity_pages
+        cache_cap = app.swap_path.cache.capacity_pages
         limit = min(self.config.max_inflight_prefetches, max(8, cache_cap // 2))
         budget = limit - self._inflight_prefetches(app)
         page_or_none = app.space.page_or_none
@@ -1053,7 +1091,7 @@ class BaseSwapSystem:
             entry = page.swap_entry
             if entry is None or page.in_swap_cache:
                 continue
-            cache = self._cache_for(app, page)
+            cache = self.path_for(app, page).cache
             if not app.pool.try_charge(1):
                 if not recycle:
                     app.stats.prefetch_frames_denied += 1
@@ -1140,7 +1178,7 @@ class BaseSwapSystem:
         if tr is not None:
             tr.emit(EVICT, app.name, lane, victim.vpn, 1 if victim.dirty else 0)
         self._on_evicted(app, victim)
-        cache = self._cache_for(app, victim)
+        cache = self.path_for(app, victim).cache
 
         if not victim.dirty and victim.swap_entry is not None:
             # Remote copy still valid (kept entry): drop without writeback.
@@ -1250,8 +1288,7 @@ class BaseSwapSystem:
             page.dirty = False
             page.locked = False
             if page.in_swap_cache and page.swap_entry is not None:
-                cache = self._cache_for(app, page)
-                cache.discard(page.swap_entry)
+                self.path_for(app, page).cache.discard(page.swap_entry)
                 app.pool.uncharge(1)
         if event is not None and not event.fired:
             event.succeed()
@@ -1263,7 +1300,7 @@ class BaseSwapSystem:
         runs low, the kernel releases existing pages from the swap cache"
         path of §2, used by direct reclaim.
         """
-        cache = self._private_cache(app)
+        cache = app.swap_path.cache
         if force_min <= 0 and len(cache) <= cache.capacity_pages:
             return 0  # within budget and not forced: the common case
         target = max(cache.overflow, force_min)
@@ -1285,10 +1322,6 @@ class BaseSwapSystem:
             owner = self.apps.get(owner_name, app)
             owner.pool.uncharge(count)
         return len(released)
-
-    def _private_cache(self, app: AppContext) -> SwapCache:
-        """The swap cache holding this app's private pages."""
-        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # kswapd
@@ -1337,10 +1370,10 @@ class BaseSwapSystem:
 class LinuxSwapSystem(BaseSwapSystem):
     """The Linux 5.5 baseline: everything shared.
 
-    One swap partition with a lock-protected free-list allocator, one
-    swap cache, one prefetcher instance fed by every application's fault
-    stream, and one pair of RDMA QPs — the configuration whose
-    interference §3 dissects.
+    One swap path — one partition with a lock-protected free-list
+    allocator, one swap cache, one prefetcher instance fed by every
+    application's fault stream — that every app is bound to, and one
+    pair of RDMA QPs: the configuration whose interference §3 dissects.
     """
 
     def __init__(
@@ -1355,30 +1388,15 @@ class LinuxSwapSystem(BaseSwapSystem):
         name: str = "linux",
     ):
         super().__init__(engine, nic, telemetry, config, name)
-        self.partition = SwapPartition(f"{name}.swap", partition_pages)
-        self.allocator = allocator_cls(engine, self.partition, name=f"{name}.alloc")
-        self.cache = SwapCache(f"{name}.cache", self.config.shared_cache_pages)
-        self.prefetcher = prefetcher if prefetcher is not None else Prefetcher()
+        partition = SwapPartition(f"{name}.swap", partition_pages)
+        self.shared_path = SwapPath(
+            partition,
+            allocator_cls(engine, partition, name=f"{name}.alloc"),
+            SwapCache(f"{name}.cache", self.config.shared_cache_pages),
+            prefetcher if prefetcher is not None else Prefetcher(),
+        )
         self.read_qp = nic.create_qp(f"{name}.read", RdmaOp.READ, priority=0)
         self.write_qp = nic.create_qp(f"{name}.write", RdmaOp.WRITE, priority=0)
-
-    def _setup_app(self, app: AppContext) -> None:
-        pass  # nothing per-app: that is the point of this baseline
-
-    def _attach_tracer_extra(self, tracer) -> None:
-        self.allocator.tracer = tracer
-
-    def _cache_for(self, app: AppContext, page: Page) -> SwapCache:
-        return self.cache
-
-    def _private_cache(self, app: AppContext) -> SwapCache:
-        return self.cache
-
-    def _allocator_for(self, app: AppContext, page: Page) -> EntryAllocator:
-        return self.allocator
-
-    def _prefetcher_for(self, app: AppContext) -> Prefetcher:
-        return self.prefetcher
 
     def _submit(self, app: AppContext, request: RdmaRequest) -> None:
         if request.op is RdmaOp.READ:

@@ -64,12 +64,6 @@ class _GenerationView:
         pages = self._lru.space.pages
         return (pages[vpn] for vpn in self._vpns_lru_first().tolist())
 
-    def peek_tail(self) -> Optional[Page]:
-        vpns = self._vpns_lru_first()
-        if not len(vpns):
-            return None
-        return self._lru.space.pages[int(vpns[0])]
-
     def head_pages(self, count: int) -> List[Page]:
         """The ``count`` most-recently-stamped pages, MRU first."""
         if count <= 0:

@@ -43,9 +43,6 @@ class PageGroupGraph:
             neighbors.add(dst)
             self.edge_count += 1
 
-    def neighbors(self, group: int) -> Set[int]:
-        return self._edges.get(group, set())
-
     def reachable_groups(
         self, start_group: int, max_hops: int, min_hops: int = 1
     ) -> List[int]:

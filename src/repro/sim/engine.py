@@ -232,10 +232,6 @@ class Process(Event):
     def _start(self) -> None:
         self._step(None, None)
 
-    @property
-    def alive(self) -> bool:
-        return not self._fired
-
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._fired:

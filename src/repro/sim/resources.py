@@ -65,10 +65,6 @@ class SimLock:
     def locked(self) -> bool:
         return self._locked
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
     def acquire(self) -> Event:
         """Return an event that fires when the caller holds the lock."""
         if not self._locked:
@@ -115,10 +111,6 @@ class Semaphore:
     @property
     def available(self) -> int:
         return self.capacity - self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
 
     def acquire(self) -> Event:
         if self._in_use < self.capacity:

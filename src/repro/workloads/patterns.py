@@ -27,7 +27,6 @@ __all__ = [
     "sequential_batches",
     "strided_batches",
     "zipfian_batches",
-    "uniform_random_batches",
     "pointer_chase_batches",
     "gc_bursts_batches",
 ]
@@ -84,19 +83,6 @@ def zipfian_batches(
     writes = _write_flags(n, write_ratio, rng)
     vpns = vma.start_vpn + permutation[ranks]
     yield from emit_batches(vpns, writes, cpu_us, batch_size)
-
-
-def uniform_random_batches(
-    vma: VMA,
-    n: int,
-    rng: np.random.Generator,
-    write_ratio: float = 0.0,
-    cpu_us: float = 0.05,
-    batch_size: int = BATCH_SIZE,
-) -> Iterator[AccessBatch]:
-    offsets = rng.integers(0, vma.n_pages, size=n)
-    writes = _write_flags(n, write_ratio, rng)
-    yield from emit_batches(vma.start_vpn + offsets, writes, cpu_us, batch_size)
 
 
 def pointer_chase_batches(

@@ -3,10 +3,12 @@
 Each entry is a zero-argument function returning one hex digest.  The
 matrix covers the six swap systems on a single app and on a co-run, every
 named fault scenario, every scripted rack episode, one churn day, the scripted
-writeback-error unwind, and a two-app co-run over a shared mapping on
-Linux and on Canvas.  ``tests/test_golden_digests.py`` checks
-each entry against ``tests/golden/digests.json``; ``tests/golden/regen.py``
-lists and rewrites the entries that changed.
+writeback-error unwind, a two-app co-run over a shared mapping on
+Linux and on Canvas, and a churn day on a three-server rack on Linux and
+on Canvas (which pin the order partitions are homed on the rack).
+``tests/test_golden_digests.py`` checks each entry against
+``tests/golden/digests.json``; ``tests/golden/regen.py`` lists and
+rewrites the entries that changed.
 
 Runs here use exactly the configurations the chaos suites use, so a
 suite that pins one of these runs looks its digest up by key instead of
@@ -28,7 +30,12 @@ from repro.faults import (
     FaultPlan,
 )
 from repro.harness.driver import run_to_completion, spawn_app
-from repro.harness.experiment import ExperimentConfig, churn_digest, run_experiment
+from repro.harness.experiment import (
+    ExperimentConfig,
+    churn_digest,
+    run_churn,
+    run_experiment,
+)
 from repro.harness.machine import Machine
 from repro.harness.results import result_digest
 from tests.conftest import build_shared_corun, build_system, sequential_accesses
@@ -170,10 +177,9 @@ def shared_ledger_errors(system, apps) -> List[str]:
     ]
     if len({id(e) for e in held}) != len(held):
         errors.append("a swap entry is held by two pages")
-    partitions = [state.partition for state in getattr(system, "_state", {}).values()]
-    partitions += [getattr(system, "partition", None)]
-    partitions += [getattr(system, "global_partition", None)]
-    allocated = sum(part.used_count for part in partitions if part is not None)
+    paths = [system.shared_path] + [app.swap_path for app in system.apps.values()]
+    partitions = {id(path.partition): path.partition for path in paths}
+    allocated = sum(part.used_count for part in partitions.values())
     if allocated != len(held):
         errors.append(f"{allocated} entries allocated, {len(held)} held by pages")
     return errors
@@ -194,6 +200,19 @@ def _shared(system) -> str:
 
 def _churn() -> str:
     return churn_digest(churn_config("canvas"))
+
+
+def _rack_churn(system: str, fault_config: FaultConfig) -> str:
+    """A churn day on a three-server rack: the session digest plus the
+    rack's ledger (entries retired, pages re-homed), which moves when
+    partitions are homed in a different order or at a different time."""
+    result = run_churn(
+        churn_config(
+            system, cluster=ClusterConfig(n_servers=3), fault_config=fault_config
+        )
+    )
+    parts = (result.digest(), sorted(dataclasses.asdict(result.rack.stats).items()))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
 
 
 def _writeback_error() -> str:
@@ -222,6 +241,15 @@ def _build() -> Dict[str, Callable[[], str]]:
     entries["unwind/writeback-error"] = _writeback_error
     for system in ("linux", "canvas"):
         entries[f"shared/{system}"] = lambda s=system: _shared(s)
+    # Canvas homes each cgroup's partition, then the global one, as the
+    # cgroup registers; the linux family's one partition is homed when the
+    # rack attaches, so a death before the first arrival retires entries.
+    entries["rack-churn/canvas"] = lambda: _rack_churn(
+        "canvas", RACK_SCENARIOS["server-death"]
+    )
+    entries["rack-churn/linux"] = lambda: _rack_churn(
+        "linux", FaultConfig(server_deaths=((0, 50.0),))
+    )
     return entries
 
 

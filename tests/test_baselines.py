@@ -38,7 +38,7 @@ def test_fastswap_splits_demand_and_prefetch_qps():
     assert system.sync_qp.priority < system.async_qp.priority
     from repro.rdma.message import RdmaOp, RdmaRequest
 
-    part = system.partition
+    part = system.shared_path.partition
     demand = RdmaRequest(
         RdmaOp.READ, RequestKind.DEMAND, "a", part.pop_free(),
         completion=machine.engine.event(),
@@ -97,7 +97,7 @@ def test_infiniswap_write_waits_out_the_block_layer():
     engine = machine.engine
     start = engine.now
     write = RdmaRequest(
-        RdmaOp.WRITE, RequestKind.SWAPOUT, "a", system.partition.pop_free(),
+        RdmaOp.WRITE, RequestKind.SWAPOUT, "a", system.shared_path.partition.pop_free(),
         completion=engine.event(),
     )
     system._submit(app, write)

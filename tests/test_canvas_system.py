@@ -15,9 +15,12 @@ def test_per_app_partitions_and_caches_exist():
     system, apps = build_canvas(
         machine, apps_spec=[("a", 512, 128, 2), ("b", 512, 128, 2)]
     )
-    assert system.partition_of("a") is not system.partition_of("b")
-    assert system.cache_of("a") is not system.cache_of("b")
-    assert system.partition_of("a").name == "a.swap"
+    a, b = apps["a"].swap_path, apps["b"].swap_path
+    assert a is not system.shared_path and b is not system.shared_path
+    assert a.partition is not b.partition
+    assert a.cache is not b.cache
+    assert a.prefetcher is not b.prefetcher
+    assert a.partition.name == "a.swap"
 
 
 def test_prepopulated_cold_pages_carry_reservations():
@@ -91,8 +94,12 @@ def test_shared_pages_use_global_partition():
     b.space.map_shared_from(a.space, shared_vma)
     page = a.space.page(shared_vma.start_vpn)
     assert page.shared
-    assert system._cache_for(a, page) is system.global_cache
-    assert system._allocator_for(a, page) is system.global_allocator
+    assert system.path_for(a, page) is system.shared_path
+    assert system.path_for(b, page) is system.shared_path
+    assert system.shared_path.partition.name == "canvas.global"
+    private = a.space.page(next(iter(a.space.vmas)).start_vpn)
+    assert not private.shared
+    assert system.path_for(a, private) is a.swap_path
 
 
 def test_scheduler_registered_per_app():
@@ -126,7 +133,7 @@ def test_prefetch_drop_unwinds_state():
     app.pool.try_charge(1)  # mimic the prefetch charge
     from repro.rdma.message import RdmaOp, RdmaRequest, RequestKind
 
-    cache = system.cache_of("a")
+    cache = app.swap_path.cache
     request = RdmaRequest(RdmaOp.READ, RequestKind.PREFETCH, "a", entry, page)
     system._inflight_req[page] = request
     system._inflight[page] = machine.engine.event()

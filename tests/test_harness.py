@@ -77,7 +77,9 @@ def test_canvas_gets_private_partitions():
     from repro.core import CanvasSwapSystem
 
     assert isinstance(res.system, CanvasSwapSystem)
-    assert res.system.partition_of("memcached").name == "memcached.swap"
+    path = res.apps["memcached"].swap_path
+    assert path is not res.system.shared_path
+    assert path.partition.name == "memcached.swap"
 
 
 def test_canvas_iso_disables_optimizations():
@@ -133,11 +135,7 @@ def test_system_kind_table(kind):
     res = run_experiment(["memcached"], small(system=kind))
     assert type(res.system) is system_cls
     assert res.system.name == name
-    if system_cls is CanvasSwapSystem:
-        allocator = res.system.global_allocator
-    else:
-        allocator = res.system.allocator
-    assert type(allocator) is allocator_cls
+    assert type(res.system.shared_path.allocator) is allocator_cls
     assert res.completion_time("memcached") > 0
 
 

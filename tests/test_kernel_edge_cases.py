@@ -45,7 +45,7 @@ def test_writeback_rescue_remaps_page_under_writeback():
         entry = yield from system._obtain_writeback_entry(app, victim, 0)
         entry.stored_vpn = victim.vpn
         victim.swap_entry = entry
-        system.cache.insert(entry, victim)
+        system.shared_path.cache.insert(entry, victim)
         from repro.rdma.message import RdmaOp, RdmaRequest
 
         request = RdmaRequest(

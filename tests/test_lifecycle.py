@@ -52,12 +52,12 @@ def assert_leak_free(result):
 
 
 def shared_allocator_reconciles(system):
-    """Shared-partition systems: every entry is back in a free pool."""
-    allocator = getattr(system, "allocator", None)
-    if allocator is None:
-        return  # Canvas private partitions die with their apps.
-    free = allocator.partition.free_count + allocator.batched_count
-    assert free == allocator.partition.n_entries
+    """Every entry of the shared path (the linux family's one partition,
+    Canvas's global one) is back in a free pool.  Canvas private
+    partitions die with their apps."""
+    path = system.shared_path
+    free = path.partition.free_count + path.allocator.batched_count
+    assert free == path.partition.n_entries
 
 
 @pytest.mark.parametrize("system", SYSTEMS)

@@ -126,7 +126,7 @@ def test_cold_no_reservation_state(setup):
     page = next(iter(app.space.pages.values()))
     page.dirty = True
     # Drain grant headroom so the new allocation is NOT reserved.
-    part = system.partition_of("a")
+    part = app.swap_path.partition
     while part.free_count > manager.reserve_guard:
         part.pop_free()
 

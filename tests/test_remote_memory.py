@@ -118,11 +118,11 @@ def test_canvas_demand_driven_end_to_end():
     )
     app.space.map_region(512, name="heap")
     system.register_app(app)
-    state = system._state["a"]
-    assert state.remote is not None
-    assert state.partition.n_entries == 128  # starts at one chunk
+    assert system._state["a"].remote is not None
+    partition = app.swap_path.partition
+    assert partition.n_entries == 128  # starts at one chunk
     system.prepopulate(app, resident_fraction=0.2)
-    assert state.partition.n_entries >= 512 - 128  # setup registration
+    assert partition.n_entries >= 512 - 128  # setup registration
     vpns = sorted(app.space.pages)
 
     def stream():
@@ -132,4 +132,4 @@ def test_canvas_demand_driven_end_to_end():
     proc = spawn_app(system, app, [chunk_stream(stream())])
     run_to_completion(machine.engine, [proc])
     assert app.finished_at_us is not None
-    assert state.partition.n_entries <= 1024  # never exceeds the limit
+    assert partition.n_entries <= 1024  # never exceeds the limit

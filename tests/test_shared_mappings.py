@@ -109,7 +109,7 @@ def test_prepopulate_leaves_shared_pages_to_their_owner():
     assert [(p.resident, p.swap_entry) for p in map(a.space.page, shm.vpns())] == layout
     pages = {id(p): p for app in (a, b) for p in app.space.pages.values()}
     holders = sum(p.swap_entry is not None for p in pages.values())
-    assert system.partition.used_count == holders
+    assert system.shared_path.partition.used_count == holders
     own_b = sum(1 for p in b.space.pages.values() if p.owner_name == "b")
     assert b.pool.used == int(own_b * 0.3)
     assert len(b.lru) == b.pool.used

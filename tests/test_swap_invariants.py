@@ -355,7 +355,7 @@ def test_churn_allocator_free_count_returns_to_capacity(system):
     result = run_churn(
         ExperimentConfig(system=system, seed=2, traffic=_churn_traffic())
     )
-    allocator = result.system.allocator
+    allocator = result.system.shared_path.allocator
     assert _free_and_stashed(allocator) == allocator.partition.n_entries
     assert len(result.system.apps) == 0
     for name, app in result.apps.items():
